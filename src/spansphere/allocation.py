@@ -140,7 +140,20 @@ class AllocationResult:
     sphere: SimplicialComplex
     f1: Facet
     f2: Facet
-    report: AllocationReport
+    blowup: Blowup
+
+    @cached_property
+    def report(self) -> AllocationReport:
+        """Spanning, host, prescribed-facet and sphere checks of `sphere`,
+        computed on first read (assembling a chain never reads it)."""
+        total = self.sphere
+        return AllocationReport(
+            spanning=(total.vertex_set == self.blowup.vertex_set),
+            facets_in_host=all(self.blowup.has_edge(f) for f in total.facets),
+            f1_is_facet=self.f1 in total.facet_set,
+            f2_is_facet=self.f2 in total.facet_set,
+            certificate=verify_sphere(total, attempt_shelling=False),
+        )
 
 
 def supported_pairs(r: Hypergraph) -> tuple[Edge, ...]:
@@ -209,9 +222,6 @@ class _PartPools:
             raise PartTooSmall(x, needed=ptr + count, available=len(pool))
         self._ptr[x] = ptr + count
         return pool[ptr : ptr + count]
-
-    def remaining(self, x: int) -> list[int]:
-        return self._avail[x][self._ptr[x] :]
 
 
 def fill_blowup(
@@ -524,23 +534,13 @@ def allocate(
     b_tilde = Blowup(base=active_base, parts=tilde_parts)
     fill = fill_blowup(active_base, b_tilde, entry)
 
-    total = backbone
-    for e in sorted(fill.spheres):
-        total = glue(total, fill.spheres[e], entry[e])
+    pieces = [(fill.spheres[e], entry[e]) for e in sorted(fill.spheres)]
     if s_prime is not None:
-        total = glue(total, s_prime, f3)
+        pieces.append((s_prime, f3))
+    total = glue(backbone, pieces)
     if stellar_vertex is not None:
         total = _absorb_by_stellar(total, blowup, stellar_vertex, sb, f1, f2)
-
-    cert = verify_sphere(total, attempt_shelling=False)
-    report = AllocationReport(
-        spanning=(total.vertex_set == blowup.vertex_set),
-        facets_in_host=all(blowup.has_edge(f) for f in total.facets),
-        f1_is_facet=f1 in total.facet_set,
-        f2_is_facet=f2 in total.facet_set,
-        certificate=cert,
-    )
-    return AllocationResult(sphere=total, f1=f1, f2=f2, report=report)
+    return AllocationResult(sphere=total, f1=f1, f2=f2, blowup=blowup)
 
 
 def _stellar_edge(r: Hypergraph, sb: int) -> Edge | None:
@@ -574,7 +574,7 @@ def _absorb_by_stellar(
         if f not in (f1, f2) and blowup.project(f) == e_host
     )
     boundary = SimplicialComplex.from_facets(combinations(tuple(g) + (v,), blowup.k))
-    return glue(total, boundary, g)
+    return glue(total, [(boundary, g)])
 
 
 def _facet_by_base(source: Facet, walk, vmap, dcs) -> dict[int, int]:

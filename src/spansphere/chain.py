@@ -60,7 +60,9 @@ class ChainCertificate:
     m2: Fraction
 
     def __post_init__(self):
-        if len(self.shared) != max(len(self.links) - 1, 0):
+        if not self.links:
+            raise BadParams("a chain needs at least one link")
+        if len(self.shared) != len(self.links) - 1:
             raise BadParams(
                 f"{len(self.links)} links need {len(self.links) - 1} shared edges, "
                 f"got {len(self.shared)}"
@@ -107,54 +109,58 @@ class ChainCertificate:
                     return pos, stripped
             return pos, ""
 
-        lineno, header = next_line()
-        if not header.startswith("LINKS "):
-            raise ParseError("expected 'LINKS <count>'", lineno)
-        count = int(header.split()[1])
-        lineno, params = next_line()
-        if not params.startswith("PARAMS "):
-            raise ParseError("expected 'PARAMS eps gamma m1 m2'", lineno)
-        eps, gamma, m1, m2 = (Fraction(tok) for tok in params.split()[1:5])
-        links = []
-        for i in range(count):
+        lineno = 0
+        try:
+            lineno, header = next_line()
+            if not header.startswith("LINKS "):
+                raise ParseError("expected 'LINKS <count>'", lineno)
+            count = int(header.split()[1])
+            lineno, params = next_line()
+            if not params.startswith("PARAMS "):
+                raise ParseError("expected 'PARAMS eps gamma m1 m2'", lineno)
+            eps, gamma, m1, m2 = (Fraction(tok) for tok in params.split()[1:5])
+            links = []
+            for i in range(count):
+                lineno, tag = next_line()
+                if tag != f"LINK {i}":
+                    raise ParseError(f"expected 'LINK {i}', got {tag!r}", lineno)
+                lineno, tag = next_line()
+                if tag != "BASE":
+                    raise ParseError("expected 'BASE'", lineno)
+                lineno, kn = next_line()
+                k, n = (int(tok) for tok in kn.split())
+                edges = []
+                for _ in range(_count_edges(lines, pos, k)):
+                    lineno, row = next_line()
+                    edges.append([int(tok) for tok in row.split()])
+                base = Hypergraph.from_edges(k, n, edges)
+                lineno, tag = next_line()
+                if tag != "PARTS":
+                    raise ParseError("expected 'PARTS'", lineno)
+                parts = []
+                for _ in range(n):
+                    lineno, row = next_line()
+                    parts.append(tuple(int(tok) for tok in row.split()))
+                singleton = None
+                save = pos
+                lineno, tag = next_line()
+                if tag.startswith("SINGLETON "):
+                    singleton = int(tag.split()[1])
+                else:
+                    pos = save
+                links.append(ChainLink(base=base, parts=tuple(parts), singleton=singleton))
             lineno, tag = next_line()
-            if tag != f"LINK {i}":
-                raise ParseError(f"expected 'LINK {i}', got {tag!r}", lineno)
-            lineno, tag = next_line()
-            if tag != "BASE":
-                raise ParseError("expected 'BASE'", lineno)
-            lineno, kn = next_line()
-            k, n = (int(tok) for tok in kn.split())
-            edges = []
-            for _ in range(_count_edges(lines, pos, k)):
+            if tag != "SHARED" and count > 1:
+                raise ParseError("expected 'SHARED'", lineno)
+            shared = []
+            for _ in range(count - 1):
                 lineno, row = next_line()
-                edges.append([int(tok) for tok in row.split()])
-            base = Hypergraph.from_edges(k, n, edges)
-            lineno, tag = next_line()
-            if tag != "PARTS":
-                raise ParseError("expected 'PARTS'", lineno)
-            parts = []
-            for _ in range(n):
-                lineno, row = next_line()
-                parts.append(tuple(int(tok) for tok in row.split()))
-            singleton = None
-            save = pos
-            lineno, tag = next_line()
-            if tag.startswith("SINGLETON "):
-                singleton = int(tag.split()[1])
-            else:
-                pos = save
-            links.append(ChainLink(base=base, parts=tuple(parts), singleton=singleton))
-        lineno, tag = next_line()
-        if tag != "SHARED" and count > 1:
-            raise ParseError("expected 'SHARED'", lineno)
-        shared = []
-        for _ in range(count - 1):
-            lineno, row = next_line()
-            shared.append(tuple(sorted(int(tok) for tok in row.split())))
-        return cls(
-            links=tuple(links), shared=tuple(shared), epsilon=eps, gamma=gamma, m1=m1, m2=m2
-        )
+                shared.append(tuple(sorted(int(tok) for tok in row.split())))
+            return cls(
+                links=tuple(links), shared=tuple(shared), epsilon=eps, gamma=gamma, m1=m1, m2=m2
+            )
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"malformed field: {exc}", lineno) from exc
 
 
 def _count_edges(lines: list[str], start: int, k: int) -> int:
@@ -245,13 +251,8 @@ def _nearly_regular_ok(
     return lower <= upper
 
 
-def verify_chain(host, certificate: ChainCertificate) -> ChainReport:
-    """Check the five chain properties plus genuine-subgraph membership.
-
-    Membership (every partite transversal of every base edge is a host edge)
-    is only exercised against materialized hosts; virtual hosts satisfy it
-    by construction and are reported as skipped.
-    """
+def _structure_violations(host, certificate: ChainCertificate) -> list[tuple[int, str]]:
+    """(property number, description) of each violated chain property 1-5."""
     viol: list[tuple[int, str]] = []
     links = certificate.links
     eps = certificate.epsilon
@@ -299,12 +300,22 @@ def verify_chain(host, certificate: ChainCertificate) -> ChainReport:
             bases = {b.phi[v] for v in listed}
             if link.singleton is not None and link.singleton in bases:
                 viol.append((5, f"shared set meets the singleton part of link {side}"))
+    return viol
 
+
+def verify_chain(host, certificate: ChainCertificate) -> ChainReport:
+    """Check the five chain properties plus genuine-subgraph membership.
+
+    Membership (every partite transversal of every base edge is a host edge)
+    is only exercised against materialized hosts; virtual hosts satisfy it
+    by construction and are reported as skipped.
+    """
+    viol = _structure_violations(host, certificate)
     membership_checked = isinstance(host, Hypergraph)
     if membership_checked:
         from itertools import product
 
-        for i, link in enumerate(links):
+        for i, link in enumerate(certificate.links):
             for e in link.base.edges:
                 for transversal in product(*(link.parts[x] for x in e)):
                     if not host.has_edge(transversal):
@@ -416,7 +427,8 @@ def generate_chain_host(
             for e in link.base.edges:
                 for tr in product(*(link.parts[x] for x in e)):
                     edges.add(tuple(sorted(tr)))
-        host: object = Hypergraph.from_edges(k, next_vertex, edges)
+        # Already canonical (sorted k-sets in range): from_edges would redo it.
+        host: object = Hypergraph(k=k, n=next_vertex, edges=tuple(sorted(edges)))
     else:
         host = LazyChainHost(certificate)
     provenance = (
@@ -439,12 +451,15 @@ def _free_facet(blowup: Blowup, banned_bases: set[int]) -> tuple[int, ...]:
 def spanning_sphere(host, certificate: ChainCertificate, jobs: int = 1) -> SimplicialComplex:
     """Allocate a spanning sphere per link and glue along the shared facets.
 
-    Link allocations are independent; with jobs > 1 they run concurrently
-    and are always merged in link order.
+    Checks the certificate's structure (chain properties 1-5, ChainInvalid
+    on a violation) but not that the host contains each link's transversals:
+    `verify_chain` checks that membership, and `is_spanning_copy` checks the
+    output's facets against the host.  Link allocations are independent;
+    with jobs > 1 they run concurrently and are always merged in link order.
     """
-    report = verify_chain(host, certificate)
-    if not report.ok:
-        raise ChainInvalid("; ".join(m for _, m in report.violations))
+    violations = _structure_violations(host, certificate)
+    if violations:
+        raise ChainInvalid("; ".join(m for _, m in violations))
     links = certificate.links
     tasks = []
     for i, link in enumerate(links):
@@ -478,10 +493,7 @@ def spanning_sphere(host, certificate: ChainCertificate, jobs: int = 1) -> Simpl
             pieces = list(pool.map(solve, tasks))
     else:
         pieces = [solve(t) for t in tasks]
-    total = pieces[0]
-    for i in range(1, len(pieces)):
-        total = glue(total, pieces[i], certificate.shared[i - 1])
-    return total
+    return glue(pieces[0], zip(pieces[1:], certificate.shared))
 
 
 def lower_bound_codegree(k: int, n: int) -> HostInstance:

@@ -24,7 +24,7 @@ from .complexes import (
     is_spanning_copy,
     verify_sphere,
 )
-from .errors import SphereError
+from .errors import BadParams, ChainInvalid, SphereError
 from .hypergraph import Hypergraph, tight_components
 from .spheres import (
     partite_sphere_a,
@@ -210,6 +210,10 @@ def _chain_from_args(args, report: RunReport):
         else:
             host = chain_mod.LazyChainHost(certificate)
         return host, certificate
+    generated = {"-k": args.k, "-s": args.s, "--links": args.links, "--part-size": args.part_size}
+    missing = [flag for flag, value in generated.items() if value is None]
+    if missing:
+        raise BadParams(f"give --chain, or {' '.join(missing)} to generate a chain")
     instance = chain_mod.generate_chain_host(
         k=args.k,
         s=args.s,
@@ -265,8 +269,11 @@ def _solve_and_check(host, certificate, report: RunReport, jobs: int):
 
 
 def cmd_chain_solve(args) -> int:
-    report = RunReport("chain solve", seed=getattr(args, "seed", None))
+    report = RunReport("chain solve", seed=args.seed)
     host, certificate = _chain_from_args(args, report)
+    rep = chain_mod.verify_chain(host, certificate)
+    if not rep.ok:
+        raise ChainInvalid("; ".join(m for _, m in rep.violations))
     sphere = _solve_and_check(host, certificate, report, args.jobs)
     out = _out_dir(args)
     if out is not None:
@@ -363,10 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, seed=True):
+    def common(p, budget=False, jobs=False, seed=False):
         p.add_argument("--out", default=None, help="directory for artifacts")
-        p.add_argument("--budget", type=int, default=DEFAULT_SHELLING_BUDGET)
-        p.add_argument("--jobs", type=int, default=1)
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_SHELLING_BUDGET)
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -378,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-sphere", help="graded sphere verification of a .sc file")
     p.add_argument("path")
     p.add_argument("--host", default=None, help=".hg file to test spanning against")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_verify_sphere)
 
     sphere = sub.add_parser("sphere", help="explicit sphere constructions")
@@ -387,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("a", "b"), required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-l", "--length", type=int, required=True, dest="length")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_sphere_partite)
     p = ssub.add_parser("path", help="doubly edge-covering sphere in a path blow-up")
     p.add_argument("-k", type=int, required=True)
@@ -400,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts", required=True)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_allocate)
 
     chain = sub.add_parser("chain", help="blow-up chain generation/verification/solving")
@@ -411,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--links", type=int, required=True)
     p.add_argument("--part-size", type=int, required=True, dest="part_size")
     p.add_argument("--singleton", action="store_true")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_chain_gen)
     p = csub.add_parser("verify", help="verify a chain certificate")
     p.add_argument("--chain", required=True)
@@ -421,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("solve", help="assemble the spanning sphere of a chain")
     p.add_argument("--chain", required=True)
     p.add_argument("--host", default=None)
-    common(p)
+    common(p, jobs=True, seed=True)
     p.set_defaults(func=cmd_chain_solve)
 
     p = sub.add_parser("pipeline", help="chain verify + solve + final verification")
@@ -432,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--links", type=int, default=None)
     p.add_argument("--part-size", type=int, default=None, dest="part_size")
     p.add_argument("--singleton", action="store_true")
-    common(p)
+    common(p, jobs=True, seed=True)
     p.set_defaults(func=cmd_pipeline)
 
     extremal = sub.add_parser("extremal", help="toy-scale density tools")
@@ -441,18 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("-s", type=int, required=True)
     p.add_argument("--epsilon", default="1/10")
-    common(p)
+    common(p, budget=True, seed=True)
     p.set_defaults(func=cmd_extremal_pg)
     p = esub.add_parser("turan", help="complete partite subgraph search")
     p.add_argument("--input", required=True)
     p.add_argument("-b", type=int, required=True)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_extremal_turan)
     p = esub.add_parser("pigeonhole", help="majority-colour blow-up extraction")
     p.add_argument("--input", required=True)
     p.add_argument("--parts", required=True)
     p.add_argument("-b", type=int, required=True)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_extremal_pigeonhole)
 
     return parser
@@ -466,7 +475,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     try:
         return args.func(args)
-    except SphereError as exc:
+    except (SphereError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

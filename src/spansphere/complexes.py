@@ -159,17 +159,33 @@ def suspension(k: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex.from_facets(facets)
 
 
-def glue(k1: SimplicialComplex, k2: SimplicialComplex, facet: Sequence[int]) -> SimplicialComplex:
-    """Union of two complexes meeting exactly in `facet`; the facet is dropped."""
-    f = tuple(sorted(facet))
-    if k1.dim != k2.dim:
-        raise DimMismatch(f"dimensions differ: {k1.dim} vs {k2.dim}")
-    if f not in k1.facet_set or f not in k2.facet_set:
-        raise MissingFacet(f"{f} must be a facet of both complexes")
-    overlap = k1.vertex_set & k2.vertex_set
-    if overlap != set(f):
-        raise BadOverlap(f"vertex overlap {sorted(overlap)} != gluing facet {list(f)}")
-    facets = (k1.facet_set | k2.facet_set) - {f}
+def glue(
+    base: SimplicialComplex,
+    pieces: Iterable[tuple[SimplicialComplex, Sequence[int]]],
+) -> SimplicialComplex:
+    """Glue each (complex, facet) piece onto `base`, in the order given.
+
+    A piece is checked against the union of `base` and the pieces before it:
+    it must have base's dimension (else DimMismatch), its facet must be a
+    facet of both the piece and that union (else MissingFacet), and the
+    piece may share only that facet's vertices with the vertices gathered so
+    far (else BadOverlap).  Every gluing facet is dropped; the result is
+    sorted once, at the end.
+    """
+    facets = set(base.facets)
+    vertices = set(base.vertex_set)
+    for piece, facet in pieces:
+        f = tuple(sorted(facet))
+        if piece.dim != base.dim:
+            raise DimMismatch(f"dimensions differ: {base.dim} vs {piece.dim}")
+        if f not in facets or f not in piece.facet_set:
+            raise MissingFacet(f"{f} must be a facet of both complexes")
+        overlap = vertices & piece.vertex_set
+        if overlap != set(f):
+            raise BadOverlap(f"vertex overlap {sorted(overlap)} != gluing facet {list(f)}")
+        facets.update(piece.facets)
+        facets.remove(f)
+        vertices.update(piece.vertex_set)
     return SimplicialComplex.from_facets(facets)
 
 

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from spansphere import allocation, chain
 from spansphere.allocation import min_part_size
 from spansphere.chain import (
     ChainCertificate,
@@ -19,7 +20,7 @@ from spansphere.chain import (
     spanning_sphere,
     verify_chain,
 )
-from spansphere.complexes import CertLevel, is_spanning_copy, verify_sphere
+from spansphere.complexes import CertLevel, glue, is_spanning_copy, verify_sphere
 from spansphere.errors import BadParams, ChainInvalid
 from spansphere.hypergraph import Hypergraph, is_tightly_connected, tight_components
 
@@ -129,6 +130,16 @@ class TestVerifyChainViolations:
         report = verify_chain(inst.host, bad)
         assert any(num == 1 for num, _ in report.violations)
 
+    def test_missing_transversal_flagged(self):
+        inst = generate_chain_host(2, 4, 2, part_size_for(2, 4), seed=13)
+        host = inst.host
+        assert isinstance(host, Hypergraph)
+        holed = Hypergraph.from_edges(host.k, host.n, host.edges[1:])
+        report = verify_chain(holed, inst.certificate)
+        assert [num for num, _ in report.violations] == [0]
+        assert f"{host.edges[0]}" in report.violations[0][1]
+        assert report.lines()[-1].startswith("membership: FAIL")
+
 
 class TestSpanningSphere:
     def test_single_link_reduces_to_allocate(self):
@@ -168,6 +179,33 @@ class TestSpanningSphere:
         )
         with pytest.raises(ChainInvalid):
             spanning_sphere(inst.host, bad)
+
+    @pytest.mark.parametrize(
+        "k, s, links, seed, singleton",
+        [(3, 6, 3, 7, False), (3, 10, 1, 2, True), (3, 7, 2, 3, True)],
+    )
+    def test_one_glue_call_matches_one_piece_at_a_time(
+        self, monkeypatch, k, s, links, seed, singleton
+    ):
+        # Every glue the assembly makes (fill spheres, the singleton's
+        # absorber, the links) is replayed one piece per call.
+        calls = []
+
+        def recording_glue(base, pieces):
+            pieces = list(pieces)
+            calls.append((base, pieces, glue(base, pieces)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(allocation, "glue", recording_glue)
+        monkeypatch.setattr(chain, "glue", recording_glue)
+        inst = generate_chain_host(k, s, links, part_size_for(k, s), seed=seed, singleton=singleton)
+        spanning_sphere(inst.host, inst.certificate)
+        assert any(len(pieces) > 1 for _, pieces, _ in calls)
+        for base, pieces, together in calls:
+            one_at_a_time = base
+            for piece in pieces:
+                one_at_a_time = glue(one_at_a_time, [piece])
+            assert together == one_at_a_time
 
     @pytest.mark.slow
     def test_five_link_k4(self):

@@ -166,6 +166,39 @@ class TestChainCommands:
         assert code == EXIT_FAIL
         assert "property (5)" in capsys.readouterr().out
 
+    def test_solve_host_missing_transversal_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        main(["chain", "gen", "-k", "2", "-s", "4", "--links", "2",
+              "--part-size", "14", "--seed", "3", "--out", str(out)])
+        capsys.readouterr()
+        host = Hypergraph.load(out / "host.hg")
+        holed = tmp_path / "holed.hg"
+        Hypergraph.from_edges(host.k, host.n, host.edges[1:]).save(holed)
+        code = main(["chain", "solve", "--chain", str(out / "chain.chain"),
+                     "--host", str(holed)])
+        assert code == EXIT_ERROR
+        assert "not in H" in capsys.readouterr().err
+
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        code = main(["chain", "verify", "--chain", str(tmp_path / "missing.chain")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("LINKS x\n", "error: line 1: "),
+            ("LINKS 1\nPARAMS 1/0 1 1 1\n", "error: line 2: "),
+            ("LINKS 0\nPARAMS 0 1/10 1 1\n", "error: a chain needs at least one link"),
+        ],
+    )
+    def test_malformed_header_exit_2(self, tmp_path, capsys, text, error):
+        bad = tmp_path / "bad.chain"
+        bad.write_text(text)
+        assert main(["chain", "verify", "--chain", str(bad)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(error)
+
 
 class TestPipeline:
     def test_generated(self, tmp_path, capsys):
@@ -176,6 +209,29 @@ class TestPipeline:
         report = (out / "report.txt").read_text()
         assert "outcome: PASS" in report
         assert "wall_time" not in report  # deterministic artifact
+
+    def test_no_input_exit_2(self, capsys):
+        assert main(["pipeline", "-k", "3"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: give --chain, or -s --links --part-size to generate a chain\n"
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "H.hg", "--jobs", "3"],
+            ["stats", "H.hg", "--budget", "1"],
+            ["stats", "H.hg", "--seed", "9"],
+            ["chain", "verify", "--chain", "C.chain", "--jobs", "2"],
+            ["verify-sphere", "S.sc", "--seed", "1"],
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestExtremalCommands:

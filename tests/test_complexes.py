@@ -122,7 +122,7 @@ class TestGlue:
     def test_two_tetrahedra(self):
         a = tetra_boundary((0, 1, 2, 3))
         b = tetra_boundary((0, 1, 2, 4))
-        g = glue(a, b, (0, 1, 2))
+        g = glue(a, [(b, (0, 1, 2))])
         assert len(g.vertex_set) == 5 and len(g.facets) == 6
         assert euler_characteristic(g) == 2
         assert verify_sphere(g).level is CertLevel.FULL_DIM2
@@ -130,7 +130,7 @@ class TestGlue:
     def test_two_4_cycles_share_edge(self):
         a = four_cycle()
         b = SimplicialComplex.from_facets([(0, 4), (4, 5), (5, 1), (0, 1)])
-        g = glue(a, b, (0, 1))
+        g = glue(a, [(b, (0, 1))])
         assert len(g.facets) == 6
         assert verify_sphere(g).level is CertLevel.FULL_DIM1
 
@@ -138,17 +138,33 @@ class TestGlue:
         a = tetra_boundary((0, 1, 2, 3))
         b = tetra_boundary((0, 1, 2, 3))  # full overlap
         with pytest.raises(BadOverlap):
-            glue(a, b, (0, 1, 2))
+            glue(a, [(b, (0, 1, 2))])
 
     def test_missing_facet(self):
         a = tetra_boundary((0, 1, 2, 3))
         b = tetra_boundary((4, 5, 6, 7))
         with pytest.raises(MissingFacet):
-            glue(a, b, (0, 1, 2))
+            glue(a, [(b, (0, 1, 2))])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            glue(four_cycle(), tetra_boundary(), (0, 1))
+            glue(four_cycle(), [(tetra_boundary(), (0, 1))])
+
+    @pytest.mark.parametrize(
+        "second, facet, error",
+        [
+            ((0, 1, 3, 4), (0, 1, 3), BadOverlap),  # also meets the first piece's 4
+            ((0, 1, 2, 5), (0, 1, 2), MissingFacet),  # facet dropped by the first gluing
+        ],
+    )
+    def test_bad_second_piece(self, second, facet, error):
+        a = tetra_boundary((0, 1, 2, 3))
+        first = (tetra_boundary((0, 1, 2, 4)), (0, 1, 2))
+        bad = (tetra_boundary(second), facet)
+        with pytest.raises(error):
+            glue(a, [first, bad])
+        with pytest.raises(error):
+            glue(glue(a, [first]), [bad])
 
 
 class TestSubdivision:
