@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .complexes import SimplicialComplex, SphereCertificate, glue, verify_sphere
@@ -33,7 +34,13 @@ from .hypergraph import (
     covering_tight_walk,
     is_tightly_connected,
 )
-from .matching import BipartiteInstance, MatchKind, hall_matching, perfect_matching
+from .matching import (
+    BipartiteInstance,
+    MatchKind,
+    hall_matching,
+    multipartite_perfect_matching,
+    perfect_matching,
+)
 from .spheres import (
     Facet,
     ladder_profile,
@@ -233,7 +240,13 @@ def fill_blowup(
     Executes: one fresh vertex per part next to each entry facet, a parity
     fix on an unassigned edge when the leftover is odd, a perfect matching
     on the leftover graph, and the (2,..,2) / (2,..,2,l,l) / (2,..,2,3,3,3)
-    sphere per resulting piece.
+    sphere per resulting piece.  Each matched pair joins the piece of the
+    edge its base pair is assigned to.  The matching is found from the
+    leftover counts per base vertex when the bases that keep leftover
+    vertices are pairwise supported (a complete multipartite leftover
+    graph), and by blossom on the explicit leftover graph otherwise; either
+    way a leftover graph without a perfect matching raises
+    NoPerfectMatchingError.
     """
     k, s = r.k, r.n
     if blowup.base != r:
@@ -294,28 +307,11 @@ def fill_blowup(
             pieces[e_star].update(extra)
             leftover.remove(extra[0])
 
-    pair_set = set(supported_pairs(r))
-    index = {v: i for i, v in enumerate(leftover)}
-    f_edges = []
-    for i, u in enumerate(leftover):
-        for w in leftover[i + 1 :]:
-            bu, bw = blowup.phi[u], blowup.phi[w]
-            if bu != bw and tuple(sorted((bu, bw))) in pair_set:
-                f_edges.append((index[u], index[w]))
     routed: Counter = Counter()
-    f_graph = Hypergraph.from_edges(2, len(leftover), f_edges) if leftover else None
-    if f_graph is not None:
-        result = perfect_matching(f_graph)
-        if result.kind is not MatchKind.PERFECT:
-            raise NoPerfectMatchingError(
-                f"leftover graph on {len(leftover)} vertices has maximum matching "
-                f"of size {len(result.pairs)}"
-            )
-        for i, j in result.pairs:
-            u, w = leftover[i], leftover[j]
-            p = tuple(sorted((blowup.phi[u], blowup.phi[w])))
-            pieces[assignment[p]].update((u, w))
-            routed[assignment[p]] += 1
+    for u, w in _match_leftover(r, blowup, leftover):
+        p = tuple(sorted((blowup.phi[u], blowup.phi[w])))
+        pieces[assignment[p]].update((u, w))
+        routed[assignment[p]] += 1
 
     spheres: dict[Edge, SimplicialComplex] = {}
     shapes: dict[Edge, tuple[int, ...]] = {}
@@ -349,6 +345,46 @@ def fill_blowup(
         shapes=shapes,
         routed_pairs={e: routed[e] for e in r.edges},
     )
+
+
+def _match_leftover(
+    r: Hypergraph, blowup: Blowup, leftover: Sequence[int]
+) -> Sequence[tuple[int, int]]:
+    """Perfect matching of the leftover graph (two leftover vertices joined
+    when their base vertices form a supported pair), as vertex pairs.
+
+    The leftover graph is a blow-up of the base's pair shadow.  When every
+    two base vertices that keep leftover vertices form a supported pair it
+    is complete multipartite, with one class per base vertex, and is matched
+    in closed form; any other shadow builds the graph and runs blossom.
+    """
+    if not leftover:
+        return ()
+    classes: list[list[int]] = [[] for _ in range(r.n)]
+    for v in leftover:
+        classes[blowup.phi[v]].append(v)
+    pair_set = set(supported_pairs(r))
+    present = [x for x in range(r.n) if classes[x]]
+    if all(p in pair_set for p in combinations(present, 2)):
+        result = multipartite_perfect_matching(classes)
+        pairs = result.pairs
+    else:
+        index = {v: i for i, v in enumerate(leftover)}
+        f_edges = []
+        for i, u in enumerate(leftover):
+            for w in leftover[i + 1 :]:
+                bu, bw = blowup.phi[u], blowup.phi[w]
+                if bu != bw and tuple(sorted((bu, bw))) in pair_set:
+                    f_edges.append((index[u], index[w]))
+        f_graph = Hypergraph.from_edges(2, len(leftover), f_edges)
+        result = perfect_matching(f_graph)
+        pairs = [(leftover[i], leftover[j]) for i, j in result.pairs]
+    if result.kind is not MatchKind.PERFECT:
+        raise NoPerfectMatchingError(
+            f"leftover graph on {len(leftover)} vertices has maximum matching "
+            f"of size {len(result.pairs)}"
+        )
+    return pairs
 
 
 def _reduce_base(r: Hypergraph, drop: int) -> tuple[Hypergraph, dict[int, int]]:
@@ -564,8 +600,6 @@ def _absorb_by_stellar(
 ) -> SimplicialComplex:
     """Glue the boundary of a simplex on (g + v) onto a facet g of the
     sphere, which replaces g by its cone from v (a sphere again)."""
-    from itertools import combinations
-
     e_host = _stellar_edge(blowup.base, sb)
     assert e_host is not None
     g = next(

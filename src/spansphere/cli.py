@@ -210,6 +210,8 @@ def _chain_from_args(args, report: RunReport):
         else:
             host = chain_mod.LazyChainHost(certificate)
         return host, certificate
+    if getattr(args, "host", None):
+        raise BadParams("--host needs --chain")
     generated = {"-k": args.k, "-s": args.s, "--links": args.links, "--part-size": args.part_size}
     missing = [flag for flag, value in generated.items() if value is None]
     if missing:

@@ -109,7 +109,7 @@ class SimplicialComplex:
             lines = fh.readlines()
         header = None
         facets = []
-        d = 0
+        d = n = 0
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -121,11 +121,14 @@ class SimplicialComplex:
             if header is None:
                 if len(vals) != 2:
                     raise ParseError("header must be 'd n'", lineno)
-                d = vals[0]
+                d, n = vals
                 header = lineno
                 continue
             if len(vals) != d + 1:
                 raise ParseError(f"expected {d + 1} vertices, got {len(vals)}", lineno)
+            bad = [v for v in vals if not 0 <= v < n]
+            if bad:
+                raise ParseError(f"vertex {bad[0]} outside 0..{n - 1}", lineno)
             facets.append(vals)
         if header is None:
             raise ParseError("missing 'd n' header line")

@@ -1,11 +1,23 @@
 """Exact matching primitives: Hall-saturating bipartite matchings with
-deficiency witnesses, and perfect matchings in general graphs.
+deficiency witnesses, perfect matchings of complete multipartite graphs, and
+perfect matchings in general graphs.
 
 Bipartite matching is a hand-rolled augmenting-path search (Kuhn's
 algorithm, O(V*E), deterministic: vertices and neighbours scanned in
-increasing order).  General matching delegates to networkx's blossom
-implementation (exact maximum cardinality, O(V^3)), which is ample for the
-desk-scale graphs this package produces (a few hundred vertices).
+increasing order).
+
+A complete multipartite graph is matched in closed form by
+`multipartite_perfect_matching`: it has a perfect matching exactly when its
+vertex count is even and no class holds more than half of the vertices.
+This is the common case of `allocation.fill_blowup`, whose leftover graph is
+a blow-up of the base's pair shadow and is complete multipartite whenever
+every pair of base vertices with leftover vertices is a supported pair
+(every base `chain.generate_chain_host` builds).
+
+Any other graph goes to `maximum_matching`, which delegates to networkx's
+blossom implementation (exact maximum cardinality, O(V^3)); networkx is
+imported there, on first use, so a process that never needs blossom never
+loads it.
 """
 
 from __future__ import annotations
@@ -13,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Mapping, Sequence
-
-import networkx as nx
 
 from .hypergraph import Hypergraph
 
@@ -97,6 +107,8 @@ def maximum_matching(graph: Hypergraph) -> tuple[tuple[int, int], ...]:
     """Exact maximum-cardinality matching of a 2-uniform hypergraph."""
     if graph.k != 2:
         raise ValueError(f"matching needs a 2-uniform graph, got k={graph.k}")
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(graph.n))
     g.add_edges_from(graph.edges)
@@ -110,6 +122,29 @@ def perfect_matching(graph: Hypergraph) -> MatchingResult:
     if 2 * len(pairs) == graph.n:
         return MatchingResult(kind=MatchKind.PERFECT, pairs=pairs)
     return MatchingResult(kind=MatchKind.NO_PERFECT, pairs=pairs)
+
+
+def multipartite_perfect_matching(classes: Sequence[Sequence[int]]) -> MatchingResult:
+    """Perfect matching of the complete multipartite graph with these vertex
+    classes (every two vertices of different classes adjacent), or a maximum
+    matching when there is none.
+
+    Repeatedly pairs the least unmatched vertex of the two classes with the
+    most unmatched vertices, ties going to the lower class index, until
+    fewer than two classes have any.  With L vertices and a largest class
+    of c, that leaves min(L // 2, L - c) pairs, the maximum: the matching is
+    perfect exactly when L is even and c <= L / 2.
+    """
+    remaining = [sorted(c, reverse=True) for c in classes]  # least vertex last
+    pairs = []
+    while len(remaining) >= 2:
+        i, j = sorted(range(len(remaining)), key=lambda x: -len(remaining[x]))[:2]
+        if not remaining[j]:
+            break
+        a, b = remaining[i].pop(), remaining[j].pop()
+        pairs.append((a, b) if a < b else (b, a))
+    kind = MatchKind.NO_PERFECT if any(remaining) else MatchKind.PERFECT
+    return MatchingResult(kind=kind, pairs=tuple(sorted(pairs)))
 
 
 def matching_is_valid(graph: Hypergraph, pairs: Sequence[tuple[int, int]]) -> bool:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
+from spansphere import allocation
 from spansphere.allocation import (
     Blowup,
     allocate,
@@ -23,6 +25,7 @@ from spansphere.errors import (
     PreconditionFailed,
 )
 from spansphere.hypergraph import Hypergraph
+from spansphere.matching import perfect_matching
 
 
 def seeded_blowup(base, m, seed, spread=0, singleton=None):
@@ -249,6 +252,43 @@ class TestAllocate:
             result = allocate(k6_3, b, f1, f2)
             assert result.f1 in result.sphere.facet_set
             assert result.f2 in result.sphere.facet_set
+
+
+class TestLeftoverMatching:
+    @staticmethod
+    def count_blossom(monkeypatch):
+        """Leftover-graph sizes `fill_blowup` hands to blossom."""
+        calls = []
+
+        def spy(graph):
+            calls.append(graph.n)
+            return perfect_matching(graph)
+
+        monkeypatch.setattr(allocation, "perfect_matching", spy)
+        return calls
+
+    def test_complete_shadow_skips_blossom(self, k6_3, monkeypatch):
+        calls = self.count_blossom(monkeypatch)
+        b = seeded_blowup(k6_3, 40, seed=11)
+        f1, f2 = random_disjoint_edges(b, seed=11)
+        check_allocation(b, allocate(k6_3, b, f1, f2))
+        assert calls == []
+
+    def test_non_complete_shadow_falls_back_to_blossom(self, monkeypatch):
+        # K_6 minus a perfect matching: leftover vertices over the missing
+        # pairs (0,1), (2,3), (4,5) are not adjacent
+        missing = {(0, 1), (2, 3), (4, 5)}
+        base = Hypergraph.from_edges(
+            2, 6, [e for e in combinations(range(6), 2) if e not in missing]
+        )
+        assert min_part_size(base) == 16
+        calls = self.count_blossom(monkeypatch)
+        b = seeded_blowup(base, 16, seed=0)
+        f1, f2 = random_disjoint_edges(b, seed=0)
+        result = allocate(base, b, f1, f2)
+        assert calls == [46]
+        check_allocation(b, result)
+        assert result.report.certificate.level is CertLevel.FULL_DIM1
 
 
 class TestMinPartSizes:

@@ -215,6 +215,12 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err == "error: give --chain, or -s --links --part-size to generate a chain\n"
 
+    def test_host_without_chain_exit_2(self, tmp_path, capsys):
+        code = main(["pipeline", "-k", "2", "-s", "4", "--links", "1", "--part-size", "14",
+                     "--host", str(tmp_path / "missing.hg")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --host needs --chain\n"
+
 
 class TestFlags:
     @pytest.mark.parametrize(

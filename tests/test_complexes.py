@@ -299,3 +299,13 @@ class TestFileFormat:
         path.write_text("2 4\n0 1\n")
         with pytest.raises(ParseError):
             SimplicialComplex.load(path)
+
+    @pytest.mark.parametrize("text", ["2 3\n0 1 2\n0 1 3\n", "1 3\n0 1\n-1 2\n"])
+    def test_vertex_outside_header_range(self, tmp_path, text):
+        from spansphere.errors import ParseError
+
+        path = tmp_path / "bad.sc"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="outside 0..2") as exc:
+            SimplicialComplex.load(path)
+        assert exc.value.line == 3

@@ -3,12 +3,17 @@ matchings, brute-force oracle equivalence."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spansphere
 from spansphere.hypergraph import Hypergraph
 from spansphere.matching import (
     BipartiteInstance,
@@ -16,6 +21,7 @@ from spansphere.matching import (
     hall_matching,
     matching_is_valid,
     maximum_matching,
+    multipartite_perfect_matching,
     perfect_matching,
 )
 
@@ -133,3 +139,55 @@ class TestPerfectMatching:
     def test_pairs_are_disjoint_edges(self, seed):
         h = random_hypergraph(2, 10, 0.5, seed)
         assert matching_is_valid(h, maximum_matching(h))
+
+
+def complete_multipartite(sizes):
+    """Classes of consecutive vertex ids and the explicit graph joining
+    every two vertices of different classes."""
+    classes, nxt = [], 0
+    for size in sizes:
+        classes.append(list(range(nxt, nxt + size)))
+        nxt += size
+    edges = [(u, w) for a, b in combinations(classes, 2) for u in a for w in b]
+    return classes, Hypergraph.from_edges(2, nxt, edges)
+
+
+class TestMultipartitePerfectMatching:
+    def test_two_largest_first(self):
+        # ties go to the lower class index, each class gives its least vertex
+        res = multipartite_perfect_matching([[0, 1], [3, 2], [4, 5]])
+        assert res.kind is MatchKind.PERFECT
+        assert res.pairs == ((0, 2), (1, 4), (3, 5))
+
+    def test_dominant_class(self):
+        res = multipartite_perfect_matching([[0, 1, 2, 3], [4], [5]])
+        assert res.kind is MatchKind.NO_PERFECT
+        assert res.pairs == ((0, 4), (1, 5))
+
+    @settings(max_examples=30, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 25), min_size=1, max_size=10))
+    def test_agrees_with_blossom(self, sizes):
+        classes, g = complete_multipartite(sizes)
+        res = multipartite_perfect_matching(classes)
+        blossom = perfect_matching(g)
+        assert res.kind is blossom.kind
+        assert matching_is_valid(g, res.pairs)
+        class_of = {v: i for i, c in enumerate(classes) for v in c}
+        assert all(class_of[a] != class_of[b] for a, b in res.pairs)
+        if res.kind is MatchKind.PERFECT:
+            assert {v for p in res.pairs for v in p} == set(range(g.n))
+        else:
+            assert len(res.pairs) == len(blossom.pairs)
+            assert len(res.pairs) == min(g.n // 2, g.n - max(sizes))
+        assert multipartite_perfect_matching(classes) == res
+
+
+def test_chain_import_leaves_networkx_unloaded():
+    """networkx is loaded by the blossom fallback only, not on import."""
+    src = str(Path(spansphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, spansphere.chain; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
