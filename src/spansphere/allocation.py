@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -55,12 +54,12 @@ class Blowup:
     """Blow-up of a base k-graph: parts[x] replaces base vertex x.
 
     Edges are never materialized; membership goes through the projection.
+    `singleton`, when set, names the one base vertex whose part is a single
+    vertex.
     """
 
     base: Hypergraph
     parts: tuple[tuple[int, ...], ...]
-    gamma: Fraction | None = None
-    m: Fraction | None = None
     singleton: int | None = None
 
     def __post_init__(self):
@@ -75,6 +74,10 @@ class Blowup:
             if seen & set(p):
                 raise PreconditionFailed("parts are not disjoint")
             seen.update(p)
+        if self.singleton is not None and not 0 <= self.singleton < len(self.parts):
+            raise PreconditionFailed(
+                f"declared singleton part {self.singleton} is not a base vertex"
+            )
         if self.singleton is not None and len(self.parts[self.singleton]) != 1:
             raise PreconditionFailed(
                 f"declared singleton part {self.singleton} has size "
@@ -92,10 +95,6 @@ class Blowup:
     @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.phi)
-
-    @property
-    def host_n(self) -> int:
-        return len(self.phi)
 
     def project(self, vertices: Sequence[int]) -> Edge:
         return tuple(sorted(self.phi[v] for v in vertices))

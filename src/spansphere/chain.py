@@ -2,10 +2,14 @@
 end-to-end spanning-sphere assembler, and lower-bound host constructions.
 
 A chain certificate is a path-like sequence of blow-up links covering the
-host, consecutive links sharing exactly one transversal edge.  Chains are
-generated synthetically (with the certificate emitted alongside) and
-verified by independent code; the assembler allocates a spanning sphere per
-link and glues neighbours along the shared facets.
+host, consecutive links sharing exactly one transversal edge.  Each link is
+an `allocation.Blowup`, so a link with overlapping parts or a bad singleton
+is rejected where the chain is built or read (`ParseError` from
+`ChainCertificate.load`, naming the link's `LINK` line).  The chain
+properties between links are checked by `verify_chain`.  Chains are
+generated synthetically (with the certificate emitted alongside); the
+assembler allocates a spanning sphere per link and glues neighbours along
+the shared facets.
 """
 
 from __future__ import annotations
@@ -14,12 +18,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .allocation import Blowup, allocate, min_part_requirements
 from .complexes import SimplicialComplex, glue
-from .errors import BadParams, ChainInvalid, ChainSolveError, ParseError, SphereError
+from .errors import (
+    BadParams,
+    ChainInvalid,
+    ChainSolveError,
+    ParseError,
+    PreconditionFailed,
+    SphereError,
+)
 from .hypergraph import Edge, Hypergraph
 
 # Hosts whose edge lists would exceed this stay virtual (edge-membership
@@ -28,31 +38,8 @@ MATERIALIZE_EDGE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
-class ChainLink:
-    base: Hypergraph
-    parts: tuple[tuple[int, ...], ...]
-    singleton: int | None = None
-
-    def blowup(self) -> Blowup:
-        return Blowup(base=self.base, parts=self.parts, singleton=self.singleton)
-
-    @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(v for p in self.parts for v in p)
-
-    def edge_count(self) -> int:
-        total = 0
-        for e in self.base.edges:
-            prod = 1
-            for x in e:
-                prod *= len(self.parts[x])
-            total += prod
-        return total
-
-
-@dataclass(frozen=True)
 class ChainCertificate:
-    links: tuple[ChainLink, ...]
+    links: tuple[Blowup, ...]
     shared: tuple[tuple[int, ...], ...]
     epsilon: Fraction
     gamma: Fraction
@@ -67,6 +54,8 @@ class ChainCertificate:
                 f"{len(self.links)} links need {len(self.links) - 1} shared edges, "
                 f"got {len(self.shared)}"
             )
+        if self.gamma < 0:
+            raise BadParams(f"gamma must be at least 0, got {self.gamma}")
 
     @property
     def k(self) -> int:
@@ -96,18 +85,20 @@ class ChainCertificate:
     @classmethod
     def load(cls, path) -> "ChainCertificate":
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            lines = [raw.split("#", 1)[0].strip() for raw in fh]
+        # (line number, text) of each non-blank line, then an end-of-file mark
+        records = [(no, text) for no, text in enumerate(lines, 1) if text]
+        records.append((len(lines), ""))
         pos = 0
+
+        def peek() -> tuple[int, str]:
+            return records[min(pos, len(records) - 1)]
 
         def next_line() -> tuple[int, str]:
             nonlocal pos
-            while pos < len(lines):
-                raw = lines[pos]
-                pos += 1
-                stripped = raw.split("#", 1)[0].strip()
-                if stripped:
-                    return pos, stripped
-            return pos, ""
+            record = peek()
+            pos += 1
+            return record
 
         lineno = 0
         try:
@@ -122,6 +113,7 @@ class ChainCertificate:
             links = []
             for i in range(count):
                 lineno, tag = next_line()
+                link_line = lineno
                 if tag != f"LINK {i}":
                     raise ParseError(f"expected 'LINK {i}', got {tag!r}", lineno)
                 lineno, tag = next_line()
@@ -130,7 +122,7 @@ class ChainCertificate:
                 lineno, kn = next_line()
                 k, n = (int(tok) for tok in kn.split())
                 edges = []
-                for _ in range(_count_edges(lines, pos, k)):
+                while peek()[1] not in ("PARTS", ""):
                     lineno, row = next_line()
                     edges.append([int(tok) for tok in row.split()])
                 base = Hypergraph.from_edges(k, n, edges)
@@ -138,17 +130,17 @@ class ChainCertificate:
                 if tag != "PARTS":
                     raise ParseError("expected 'PARTS'", lineno)
                 parts = []
-                for _ in range(n):
+                while len(parts) < n and peek()[1]:
                     lineno, row = next_line()
                     parts.append(tuple(int(tok) for tok in row.split()))
                 singleton = None
-                save = pos
-                lineno, tag = next_line()
-                if tag.startswith("SINGLETON "):
+                if peek()[1].startswith("SINGLETON "):
+                    lineno, tag = next_line()
                     singleton = int(tag.split()[1])
-                else:
-                    pos = save
-                links.append(ChainLink(base=base, parts=tuple(parts), singleton=singleton))
+                try:
+                    links.append(Blowup(base=base, parts=tuple(parts), singleton=singleton))
+                except PreconditionFailed as exc:
+                    raise ParseError(f"link {i}: {exc}", link_line) from exc
             lineno, tag = next_line()
             if tag != "SHARED" and count > 1:
                 raise ParseError("expected 'SHARED'", lineno)
@@ -163,19 +155,6 @@ class ChainCertificate:
             raise ParseError(f"malformed field: {exc}", lineno) from exc
 
 
-def _count_edges(lines: list[str], start: int, k: int) -> int:
-    """Edges of an inline base run until the next PARTS tag."""
-    count = 0
-    for raw in lines[start:]:
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped == "PARTS":
-            break
-        count += 1
-    return count
-
-
 class LazyChainHost:
     """Edge-membership view of the union of a chain's link blow-ups.
 
@@ -184,25 +163,22 @@ class LazyChainHost:
 
     def __init__(self, certificate: ChainCertificate):
         self.certificate = certificate
-        self._blowups = [link.blowup() for link in certificate.links]
         vertices: set[int] = set()
         for link in certificate.links:
             vertices.update(link.vertex_set)
         self.k = certificate.k
         self.n = max(vertices) + 1 if vertices else 0
-        self._vertices = frozenset(vertices)
-        if self._vertices != frozenset(range(self.n)):
+        if min(vertices, default=0) < 0 or len(vertices) != self.n:
             raise BadParams("chain links do not cover a dense vertex range")
 
     def has_edge(self, f: Sequence[int]) -> bool:
-        return any(b.has_edge(f) for b in self._blowups)
+        return any(link.has_edge(f) for link in self.certificate.links)
 
 
 @dataclass(frozen=True)
 class HostInstance:
     host: object  # Hypergraph or LazyChainHost
     certificate: ChainCertificate | None
-    provenance: str
 
 
 @dataclass(frozen=True)
@@ -216,24 +192,25 @@ class ChainReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def lines(self) -> list[str]:
+    def entries(self) -> list[tuple[str, str]]:
+        """(name, outcome) of each property and of membership, in report order."""
         out = []
         for num in (1, 2, 3, 4, 5):
             bad = [msg for n, msg in self.violations if n == num]
-            status = "FAIL" if bad else "PASS"
-            out.append(f"property ({num}): {status}" + (f" [{'; '.join(bad)}]" if bad else ""))
+            out.append((f"property ({num})", f"FAIL [{'; '.join(bad)}]" if bad else "PASS"))
         extra = [msg for n, msg in self.violations if n == 0]
         if self.membership_checked:
-            out.append(
-                "membership: " + ("FAIL [" + "; ".join(extra) + "]" if extra else "PASS")
-            )
+            out.append(("membership", f"FAIL [{'; '.join(extra)}]" if extra else "PASS"))
         else:
-            out.append("membership: SKIPPED (virtual host)")
+            out.append(("membership", "SKIPPED (virtual host)"))
         return out
+
+    def lines(self) -> list[str]:
+        return [f"{name}: {outcome}" for name, outcome in self.entries()]
 
 
 def _nearly_regular_ok(
-    link: ChainLink, gamma: Fraction, m1: Fraction, m2: Fraction
+    link: Blowup, gamma: Fraction, m1: Fraction, m2: Fraction
 ) -> bool:
     """Some m* in [m1, m2] puts every non-singleton part inside
     [(1-gamma)m*, (1+gamma)m*]; at most one singleton part allowed."""
@@ -293,11 +270,10 @@ def _structure_violations(host, certificate: ChainCertificate) -> list[tuple[int
             viol.append((5, f"shared set {sorted(listed)} has size {len(listed)}"))
             continue
         for side, link in ((j, links[j]), (j + 1, links[j + 1])):
-            b = link.blowup()
-            if not b.has_edge(tuple(listed)):
+            if not link.has_edge(tuple(listed)):
                 viol.append((5, f"shared set not an edge of link {side}"))
                 continue
-            bases = {b.phi[v] for v in listed}
+            bases = {link.phi[v] for v in listed}
             if link.singleton is not None and link.singleton in bases:
                 viol.append((5, f"shared set meets the singleton part of link {side}"))
     return viol
@@ -367,7 +343,7 @@ def generate_chain_host(
     exit_edge = tuple(range(k, 2 * k))      # shared with the next link
     singleton_base = 2 * k if singleton else None
 
-    links: list[ChainLink] = []
+    links: list[Blowup] = []
     shared: list[tuple[int, ...]] = []
     next_vertex = 0
     prev_exit_transversal: tuple[int, ...] | None = None
@@ -398,8 +374,7 @@ def generate_chain_host(
             fresh.extend(range(next_vertex, next_vertex + take))
             next_vertex += take
             parts.append(tuple(sorted(fresh)))
-        link = ChainLink(base=base, parts=tuple(parts), singleton=singleton_base)
-        links.append(link)
+        links.append(Blowup(base=base, parts=tuple(parts), singleton=singleton_base))
         if li < num_links - 1:
             transversal = tuple(parts[x][0] for x in exit_edge)
             prev_exit_transversal = transversal
@@ -414,7 +389,9 @@ def generate_chain_host(
         m1=Fraction(part_size),
         m2=Fraction(part_size),
     )
-    total_edges = sum(link.edge_count() for link in links)
+    total_edges = sum(
+        math.prod(len(link.parts[x]) for x in e) for link in links for e in link.base.edges
+    )
     if materialize is None:
         materialize = total_edges <= MATERIALIZE_EDGE_LIMIT
     if materialize:
@@ -431,11 +408,7 @@ def generate_chain_host(
         host: object = Hypergraph(k=k, n=next_vertex, edges=tuple(sorted(edges)))
     else:
         host = LazyChainHost(certificate)
-    provenance = (
-        f"generate_chain_host(k={k},s={s},num_links={num_links},"
-        f"part_size={part_size},seed={seed},singleton={singleton})"
-    )
-    return HostInstance(host=host, certificate=certificate, provenance=provenance)
+    return HostInstance(host=host, certificate=certificate)
 
 
 def _free_facet(blowup: Blowup, banned_bases: set[int]) -> tuple[int, ...]:
@@ -463,7 +436,6 @@ def spanning_sphere(host, certificate: ChainCertificate, jobs: int = 1) -> Simpl
     links = certificate.links
     tasks = []
     for i, link in enumerate(links):
-        b = link.blowup()
         banned: set[int] = set()
         if link.singleton is not None:
             banned.add(link.singleton)
@@ -471,18 +443,18 @@ def spanning_sphere(host, certificate: ChainCertificate, jobs: int = 1) -> Simpl
         f2 = tuple(sorted(certificate.shared[i])) if i < len(links) - 1 else None
         for fixed in (f1, f2):
             if fixed is not None:
-                banned.update(b.phi[v] for v in fixed)
+                banned.update(link.phi[v] for v in fixed)
         if f1 is None:
-            f1 = _free_facet(b, banned)
-            banned.update(b.phi[v] for v in f1)
+            f1 = _free_facet(link, banned)
+            banned.update(link.phi[v] for v in f1)
         if f2 is None:
-            f2 = _free_facet(b, banned)
-        tasks.append((i, link, b, f1, f2))
+            f2 = _free_facet(link, banned)
+        tasks.append((i, link, f1, f2))
 
     def solve(task):
-        i, link, b, f1, f2 = task
+        i, link, f1, f2 = task
         try:
-            return allocate(link.base, b, f1, f2).sphere
+            return allocate(link.base, link, f1, f2).sphere
         except SphereError as exc:
             raise ChainSolveError(i, exc) from exc
 
@@ -516,9 +488,7 @@ def lower_bound_codegree(k: int, n: int) -> HostInstance:
             continue
         edges.append(e)
     host = Hypergraph.from_edges(k, n, edges)
-    return HostInstance(
-        host=host, certificate=None, provenance=f"lower_bound_codegree(k={k},n={n})"
-    )
+    return HostInstance(host=host, certificate=None)
 
 
 def lower_bound_tight_cycle(k: int, n: int) -> HostInstance:
@@ -535,9 +505,7 @@ def lower_bound_tight_cycle(k: int, n: int) -> HostInstance:
     xs = set(x)
     edges = [e for e in combinations(range(n), k) if len(set(e) & xs) >= k - 1]
     host = Hypergraph.from_edges(k, n, edges)
-    return HostInstance(
-        host=host, certificate=None, provenance=f"lower_bound_tight_cycle(k={k},n={n})"
-    )
+    return HostInstance(host=host, certificate=None)
 
 
 def lower_bound_vertex_degree(n: int) -> HostInstance:
@@ -573,6 +541,4 @@ def lower_bound_vertex_degree(n: int) -> HostInstance:
         if (g2, g2, g1) in cyclic_ok:
             edges.append(e)
     host = Hypergraph.from_edges(3, n, edges)
-    return HostInstance(
-        host=host, certificate=None, provenance=f"lower_bound_vertex_degree(n={n})"
-    )
+    return HostInstance(host=host, certificate=None)

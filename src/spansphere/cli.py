@@ -24,7 +24,7 @@ from .complexes import (
     is_spanning_copy,
     verify_sphere,
 )
-from .errors import BadParams, ChainInvalid, SphereError
+from .errors import BadParams, ChainInvalid, ParseError, SphereError
 from .hypergraph import Hypergraph, tight_components
 from .spheres import (
     partite_sphere_a,
@@ -90,17 +90,28 @@ def _out_dir(args) -> Path | None:
     return out
 
 
-def _parse_facet(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _parse_facet(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise BadParams(f"{flag} takes vertex indices, got {text!r}") from None
 
 
 def _load_parts(path) -> tuple[tuple[int, ...], ...]:
     parts = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            parts.append(tuple(int(tok) for tok in line.split()))
+            try:
+                parts.append(tuple(int(tok) for tok in line.split()))
+            except ValueError:
+                raise ParseError(f"non-integer field in {line!r}", lineno) from None
     return tuple(parts)
+
+
+def _check_chain(report: RunReport, rep: chain_mod.ChainReport) -> None:
+    for name, value in rep.entries():
+        report.check(name, value=value)
 
 
 def cmd_stats(args) -> int:
@@ -178,14 +189,15 @@ def cmd_sphere_path(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    report = RunReport("allocate", seed=args.seed)
+    report = RunReport("allocate")
     report.add_input(args.base)
     report.add_input(args.parts)
     base = Hypergraph.load(args.base)
     parts = _load_parts(args.parts)
     singleton = next((x for x, p in enumerate(parts) if len(p) == 1), None)
     blowup = Blowup(base=base, parts=parts, singleton=singleton)
-    result = allocate(base, blowup, _parse_facet(args.f1), _parse_facet(args.f2))
+    f1, f2 = _parse_facet(args.f1, "--f1"), _parse_facet(args.f2, "--f2")
+    result = allocate(base, blowup, f1, f2)
     rep = result.report
     report.check("spanning", ok=rep.spanning)
     report.check("facets_in_host", ok=rep.facets_in_host)
@@ -239,8 +251,7 @@ def cmd_chain_gen(args) -> int:
     )
     rep = chain_mod.verify_chain(instance.host, instance.certificate)
     report.check("chain_valid", ok=rep.ok)
-    for line in rep.lines():
-        report.check(line.split(":")[0], value=line.split(": ", 1)[1])
+    _check_chain(report, rep)
     out = _out_dir(args)
     if out is not None:
         instance.certificate.save(out / "chain.chain")
@@ -254,8 +265,7 @@ def cmd_chain_verify(args) -> int:
     report = RunReport("chain verify")
     host, certificate = _chain_from_args(args, report)
     rep = chain_mod.verify_chain(host, certificate)
-    for line in rep.lines():
-        report.check(line.split(":")[0], value=line.split(": ", 1)[1])
+    _check_chain(report, rep)
     report.check("chain_valid", ok=rep.ok)
     report.emit(_out_dir(args))
     return report.exit_code
@@ -271,7 +281,7 @@ def _solve_and_check(host, certificate, report: RunReport, jobs: int):
 
 
 def cmd_chain_solve(args) -> int:
-    report = RunReport("chain solve", seed=args.seed)
+    report = RunReport("chain solve")
     host, certificate = _chain_from_args(args, report)
     rep = chain_mod.verify_chain(host, certificate)
     if not rep.ok:
@@ -296,14 +306,13 @@ def cmd_pipeline(args) -> int:
             sphere.save(out / "sphere.sc")
             certificate.save(out / "chain.chain")
     else:
-        for line in rep.lines():
-            report.check(line.split(":")[0], value=line.split(": ", 1)[1])
+        _check_chain(report, rep)
     report.emit(out)
     return report.exit_code
 
 
 def cmd_extremal_pg(args) -> int:
-    report = RunReport("extremal pg", seed=args.seed)
+    report = RunReport("extremal pg")
     report.add_input(args.input)
     h = Hypergraph.load(args.input)
     predicate = extremal_mod.dirac_supported_property(Fraction(args.epsilon), h.k)
@@ -411,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts", required=True)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
-    common(p, seed=True)
+    common(p)
     p.set_defaults(func=cmd_allocate)
 
     chain = sub.add_parser("chain", help="blow-up chain generation/verification/solving")
@@ -432,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("solve", help="assemble the spanning sphere of a chain")
     p.add_argument("--chain", required=True)
     p.add_argument("--host", default=None)
-    common(p, jobs=True, seed=True)
+    common(p, jobs=True)
     p.set_defaults(func=cmd_chain_solve)
 
     p = sub.add_parser("pipeline", help="chain verify + solve + final verification")
@@ -452,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("-s", type=int, required=True)
     p.add_argument("--epsilon", default="1/10")
-    common(p, budget=True, seed=True)
+    common(p, budget=True)
     p.set_defaults(func=cmd_extremal_pg)
     p = esub.add_parser("turan", help="complete partite subgraph search")
     p.add_argument("--input", required=True)

@@ -58,9 +58,6 @@ class MatchingResult:
     pairs: tuple[tuple[Hashable, Hashable], ...]
     violator: tuple[Hashable, ...] | None = None
 
-    def as_dict(self) -> dict:
-        return dict(self.pairs)
-
 
 def hall_matching(instance: BipartiteInstance) -> MatchingResult:
     """Left-saturating matching, or a Hall violator with |N(W)| < |W|.

@@ -8,10 +8,9 @@ from itertools import combinations
 import pytest
 
 from spansphere import allocation, chain
-from spansphere.allocation import min_part_size
+from spansphere.allocation import Blowup, min_part_size
 from spansphere.chain import (
     ChainCertificate,
-    ChainLink,
     LazyChainHost,
     generate_chain_host,
     lower_bound_codegree,
@@ -85,7 +84,7 @@ class TestVerifyChainViolations:
         stolen = links[0].parts[5][-1]
         parts2 = list(links[2].parts)
         parts2[5] = tuple(sorted(parts2[5] + (stolen,)))
-        links[2] = ChainLink(base=links[2].base, parts=tuple(parts2))
+        links[2] = Blowup(base=links[2].base, parts=tuple(parts2))
         bad = ChainCertificate(
             links=tuple(links),
             shared=cert.shared,

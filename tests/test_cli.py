@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spansphere.chain import lower_bound_codegree
+from spansphere.chain import ChainCertificate, lower_bound_codegree
 from spansphere.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 from spansphere.complexes import SimplicialComplex, suspension
+from spansphere.errors import ParseError
 from spansphere.hypergraph import Hypergraph
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_k5(tmp_path):
@@ -97,42 +108,46 @@ class TestSphereCommands:
 
 
 class TestAllocateCommand:
-    def test_run(self, tmp_path, capsys):
+    def argv(self, tmp_path, f1="0,40,80"):
+        """allocate on K_6^(3) blown up into six parts of 40 vertices."""
         base = tmp_path / "k6.hg"
         Hypergraph.complete(3, 6).save(base)
         parts_file = tmp_path / "parts.txt"
-        lines = []
-        nxt = 0
-        parts = []
-        for _ in range(6):
-            parts.append(tuple(range(nxt, nxt + 40)))
-            lines.append(" ".join(str(v) for v in parts[-1]))
-            nxt += 40
-        parts_file.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "out"
-        f1 = ",".join(str(parts[x][0]) for x in (0, 1, 2))
-        f2 = ",".join(str(parts[x][0]) for x in (3, 4, 5))
-        code = main(
-            [
-                "allocate",
-                "--base", str(base),
-                "--parts", str(parts_file),
-                "--f1", f1,
-                "--f2", f2,
-                "--out", str(out),
-            ]
+        parts_file.write_text(
+            "".join(" ".join(str(v) for v in range(x, x + 40)) + "\n" for x in range(0, 240, 40))
         )
+        return ["allocate", "--base", str(base), "--parts", str(parts_file),
+                "--f1", f1, "--f2", "120,160,200"]
+
+    def test_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(self.argv(tmp_path) + ["--out", str(out)])
         assert code == EXIT_PASS
         assert (out / "sphere.sc").exists()
         assert "level = FullDim2" in capsys.readouterr().out
+
+    def test_parts_parse_error_exit_2(self, tmp_path, capsys):
+        argv = self.argv(tmp_path)
+        parts_file = tmp_path / "parts.txt"
+        parts_file.write_text(parts_file.read_text() + "0 1 x\n")
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: line 7: non-integer field in '0 1 x'\n"
+
+    def test_bad_facet_flag_exit_2(self, tmp_path, capsys):
+        assert main(self.argv(tmp_path, f1="0 x")) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --f1 takes vertex indices, got '0 x'\n"
+
+
+def gen_small_chain(out) -> int:
+    """Two links over K_4^(2), parts of about 14: chain.chain and host.hg."""
+    return main(["chain", "gen", "-k", "2", "-s", "4", "--links", "2",
+                 "--part-size", "14", "--seed", "3", "--out", str(out)])
 
 
 class TestChainCommands:
     def test_gen_verify_solve(self, tmp_path, capsys):
         out = tmp_path / "gen"
-        args = ["chain", "gen", "-k", "2", "-s", "4", "--links", "2",
-                "--part-size", "14", "--seed", "3", "--out", str(out)]
-        assert main(args) == EXIT_PASS
+        assert gen_small_chain(out) == EXIT_PASS
         assert (out / "chain.chain").exists()
         assert (out / "host.hg").exists()
         capsys.readouterr()
@@ -168,8 +183,7 @@ class TestChainCommands:
 
     def test_solve_host_missing_transversal_exit_2(self, tmp_path, capsys):
         out = tmp_path / "gen"
-        main(["chain", "gen", "-k", "2", "-s", "4", "--links", "2",
-              "--part-size", "14", "--seed", "3", "--out", str(out)])
+        gen_small_chain(out)
         capsys.readouterr()
         host = Hypergraph.load(out / "host.hg")
         holed = tmp_path / "holed.hg"
@@ -198,6 +212,89 @@ class TestChainCommands:
         bad.write_text(text)
         assert main(["chain", "verify", "--chain", str(bad)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(error)
+
+    @pytest.mark.parametrize(
+        "edit, link, error",
+        [
+            ("singleton names a large part", 1, "declared singleton part 0 has size 14"),
+            ("singleton out of range", 0, "declared singleton part 99 is not a base vertex"),
+            ("overlapping parts", 1, "parts are not disjoint"),
+        ],
+    )
+    def test_malformed_link_exit_2(self, tmp_path, capsys, edit, link, error):
+        out = tmp_path / "gen"
+        gen_small_chain(out)
+        capsys.readouterr()
+        lines = (out / "chain.chain").read_text().splitlines()
+        if edit == "singleton names a large part":
+            lines.insert(lines.index("SHARED"), "SINGLETON 0")
+        elif edit == "singleton out of range":
+            lines.insert(lines.index("LINK 1"), "SINGLETON 99")
+        else:
+            first_part = lines.index("PARTS", lines.index("LINK 1")) + 1
+            lines[first_part] += " " + lines[first_part + 1].split()[0]
+        bad = tmp_path / "bad.chain"
+        bad.write_text("\n".join(lines) + "\n")
+        link_line = lines.index(f"LINK {link}") + 1
+        with pytest.raises(ParseError) as exc:
+            ChainCertificate.load(bad)
+        assert exc.value.line == link_line
+        assert str(exc.value).startswith(f"line {link_line}: link {link}: {error}")
+        for host in ([], ["--host", str(out / "host.hg")]):
+            assert main(["chain", "verify", "--chain", str(bad), *host]) == EXIT_ERROR
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+@pytest.fixture(scope="module")
+def small_chain_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("chain")
+    with contextlib.redirect_stdout(io.StringIO()):
+        gen_small_chain(out)
+    return (out / "chain.chain").read_text().splitlines(), out / "mutated.chain"
+
+
+class TestChainFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        whole_line=st.booleans(),
+        op=st.sampled_from(["delete", "duplicate", "replace"]),
+        i=st.integers(0, 999),
+        j=st.integers(0, 999),
+        token=st.sampled_from(["-1", "0", "1", "2", "99", "x", "1/0", "-1/2"]),
+    )
+    @example(whole_line=False, op="replace", i=1, j=2, token="-1")  # gamma = -1
+    def test_mutated_chain_exits_0_1_or_2(self, small_chain_lines, whole_line, op, i, j, token):
+        # Line i, or token j of it, is deleted, duplicated or replaced (by
+        # line j or by `token`): the CLI verdict is 0 or 1, or exit 2 with a
+        # one-line error, never a traceback.
+        lines, path = small_chain_lines
+        lines = list(lines)
+        i %= len(lines)
+        if whole_line:
+            if op == "delete":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                lines[i] = lines[j % len(lines)]
+        else:
+            tokens = lines[i].split()
+            j %= len(tokens)
+            if op == "delete":
+                del tokens[j]
+            elif op == "duplicate":
+                tokens.insert(j, tokens[j])
+            else:
+                tokens[j] = token
+            lines[i] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["chain", "verify", "--chain", str(path)])
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_ERROR)
+        if code == EXIT_ERROR:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestPipeline:
@@ -231,6 +328,10 @@ class TestFlags:
             ["stats", "H.hg", "--seed", "9"],
             ["chain", "verify", "--chain", "C.chain", "--jobs", "2"],
             ["verify-sphere", "S.sc", "--seed", "1"],
+            ["allocate", "--base", "R.hg", "--parts", "P", "--f1", "0", "--f2", "1",
+             "--seed", "1"],
+            ["chain", "solve", "--chain", "C.chain", "--seed", "1"],
+            ["extremal", "pg", "--input", "H.hg", "-s", "5", "--seed", "1"],
         ],
     )
     def test_unread_flag_is_usage_error(self, argv, capsys):
@@ -275,3 +376,16 @@ class TestExtremalCommands:
                      "-b", "2", "--out", str(out)])
         assert code == EXIT_PASS
         assert (out / "member.hg").exists()
+
+
+class TestScripts:
+    def test_demo_pipeline(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        ))
+        run = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "demo_pipeline.py"), "2", "4", "2", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "certificate: FullDim1" in run.stdout.splitlines()
