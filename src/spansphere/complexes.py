@@ -369,6 +369,19 @@ def verify_sphere(
     LinkVerified and a successful shelling search upgrades to Shelled;
     surviving only the necessary conditions gives PartialOnly.
     """
+    return _verify_sphere(k, shelling_budget, attempt_shelling, {})
+
+
+def _verify_sphere(
+    k: SimplicialComplex,
+    shelling_budget: int,
+    attempt_shelling: bool | None,
+    links: dict[tuple[Facet, ...], SphereCertificate],
+) -> SphereCertificate:
+    """verify_sphere's recursion.  The link of v in the link of u is the link
+    of the face {u, v}, which the recursion reaches once per ordering of the
+    face, so `links` keeps the certificate of every link checked so far in
+    the top-level call, keyed by its facets."""
     chi = euler_characteristic(k)
     d = k.dim
 
@@ -416,7 +429,9 @@ def verify_sphere(
     links_ok = True
     for v in sorted(k.vertex_set):
         lk = k.link(v)
-        sub = verify_sphere(lk, shelling_budget=0, attempt_shelling=False)
+        sub = links.get(lk.facets)
+        if sub is None:
+            sub = links[lk.facets] = _verify_sphere(lk, 0, False, links)
         if sub.level is CertLevel.REJECTED:
             return reject(f"link of vertex {v} rejected: {sub.failure_reason}", closed, connected)
         if not sub.level.at_least(CertLevel.LINK_VERIFIED):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spansphere import complexes
 from spansphere.complexes import (
     CertLevel,
     SimplicialComplex,
@@ -261,6 +262,23 @@ class TestVerifySphere:
             list(combinations((0, 1, 2, 3), 3)) + list(combinations((4, 5, 6, 7), 3))
         )
         assert verify_sphere(c).level is CertLevel.REJECTED
+
+    def test_each_link_checked_once(self, monkeypatch):
+        # The boundary of the 5-simplex is a 4-sphere whose faces of at most
+        # two vertices have distinct links of dimension at least 2: 1 + 6 + 15
+        # checks, where a recursion over ordered vertex pairs makes 1 + 6 + 30.
+        checked = []
+        recurse = complexes._verify_sphere
+
+        def counting(k, *args):
+            checked.append(k.facets)
+            return recurse(k, *args)
+
+        monkeypatch.setattr(complexes, "_verify_sphere", counting)
+        sphere = SimplicialComplex.from_facets(combinations(range(6), 5))
+        cert = verify_sphere(sphere, attempt_shelling=False)
+        assert cert.level is CertLevel.LINK_VERIFIED
+        assert len(checked) == len(set(checked)) == 22
 
 
 class TestSpanningCopy:
