@@ -23,14 +23,16 @@ from typing import Sequence
 from .allocation import Blowup, allocate, min_part_requirements
 from .complexes import SimplicialComplex, glue
 from .errors import (
+    BadArity,
     BadParams,
     ChainInvalid,
     ChainSolveError,
+    InvalidVertex,
     ParseError,
     PreconditionFailed,
     SphereError,
 )
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Edge, Hypergraph, _canonical_edge, _check_arity
 
 # Hosts whose edge lists would exceed this stay virtual (edge-membership
 # oracle only); a complete K_8^(4) blow-up has ~10^10 transversals.
@@ -122,9 +124,13 @@ class ChainCertificate:
                 lineno, kn = next_line()
                 k, n = (int(tok) for tok in kn.split())
                 edges = []
-                while peek()[1] not in ("PARTS", ""):
-                    lineno, row = next_line()
-                    edges.append([int(tok) for tok in row.split()])
+                try:
+                    _check_arity(k)
+                    while peek()[1] not in ("PARTS", ""):
+                        lineno, row = next_line()
+                        edges.append(_canonical_edge(k, n, [int(tok) for tok in row.split()]))
+                except (BadArity, InvalidVertex) as exc:
+                    raise ParseError(str(exc), lineno) from exc
                 base = Hypergraph.from_edges(k, n, edges)
                 lineno, tag = next_line()
                 if tag != "PARTS":

@@ -315,7 +315,11 @@ def cmd_extremal_pg(args) -> int:
     report = RunReport("extremal pg")
     report.add_input(args.input)
     h = Hypergraph.load(args.input)
-    predicate = extremal_mod.dirac_supported_property(Fraction(args.epsilon), h.k)
+    try:
+        epsilon = Fraction(args.epsilon)
+    except (ValueError, ZeroDivisionError):
+        raise BadParams(f"--epsilon takes a fraction, got {args.epsilon!r}") from None
+    predicate = extremal_mod.dirac_supported_property(epsilon, h.k)
     pg = extremal_mod.property_graph(h, predicate, args.s, budget=args.budget)
     report.check("edges", value=len(pg.edges))
     out = _out_dir(args)

@@ -4,11 +4,15 @@ Sphere-hood is certified combinatorially: full recognition in dimensions 1
 and 2, and for d >= 3 a graded certificate built from necessary conditions
 (pseudomanifold, Euler characteristic), recursive vertex-link verification,
 and an optional bounded-backtracking shelling search.
+
+Vertex links are read from a vertex-to-facet index built once per complex,
+and a cycle is recognised by vertex degrees and one walk, so the d = 2
+certificate costs time linear in the number of facets.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -89,12 +93,23 @@ class SimplicialComplex:
     def facet_set(self) -> frozenset[Facet]:
         return frozenset(self.facets)
 
+    @cached_property
+    def _star(self) -> dict[int, list[Facet]]:
+        """Vertex -> the facets through it, each list in facet order."""
+        star: dict[int, list[Facet]] = {}
+        for f in self.facets:
+            for v in f:
+                star.setdefault(v, []).append(f)
+        return star
+
     def link(self, v: int) -> "SimplicialComplex | None":
         """Complex of facets through v with v removed; None if v unused."""
-        fs = [tuple(x for x in f if x != v) for f in self.facets if v in f]
-        if not fs:
+        star = self._star.get(v)
+        if star is None:
             return None
-        return SimplicialComplex(dim=self.dim - 1, facets=tuple(sorted(set(fs))))
+        # Distinct facets through v stay distinct without v.
+        fs = sorted(tuple(x for x in f if x != v) for f in star)
+        return SimplicialComplex(dim=self.dim - 1, facets=tuple(fs))
 
     def save(self, path) -> None:
         n = max(self.vertex_set) + 1 if self.vertex_set else 0
@@ -129,15 +144,14 @@ class SimplicialComplex:
             bad = [v for v in vals if not 0 <= v < n]
             if bad:
                 raise ParseError(f"vertex {bad[0]} outside 0..{n - 1}", lineno)
+            if len(set(vals)) != len(vals):
+                raise ParseError(f"facet {tuple(sorted(vals))} has repeated vertices", lineno)
             facets.append(vals)
         if header is None:
             raise ParseError("missing 'd n' header line")
         if not facets:
             raise ParseError("complex has no facets")
-        out = cls.from_facets(facets)
-        if out.dim != d:
-            raise ParseError(f"header dimension {d} != facet dimension {out.dim}")
-        return out
+        return cls.from_facets(facets)
 
 
 @dataclass(frozen=True)
@@ -237,22 +251,13 @@ def euler_characteristic(k: SimplicialComplex) -> int:
     return sum((-1) ** d * len(faces[d]) for d in faces)
 
 
-def _ridge_counter(k: SimplicialComplex) -> Counter:
-    cnt: Counter = Counter()
-    for f in k.facets:
-        for r in combinations(f, len(f) - 1):
-            cnt[r] += 1
-    return cnt
-
-
 def is_pseudomanifold(k: SimplicialComplex) -> tuple[bool, bool]:
     """(every ridge in exactly 2 facets, facet adjacency graph connected)."""
-    cnt = _ridge_counter(k)
-    closed = all(c == 2 for c in cnt.values())
     ridge_to_facets: dict[Facet, list[int]] = {}
     for idx, f in enumerate(k.facets):
         for r in combinations(f, len(f) - 1):
             ridge_to_facets.setdefault(r, []).append(idx)
+    closed = all(len(members) == 2 for members in ridge_to_facets.values())
     adj: list[set[int]] = [set() for _ in k.facets]
     for members in ridge_to_facets.values():
         for a, b in combinations(members, 2):
@@ -273,17 +278,26 @@ def is_pseudomanifold(k: SimplicialComplex) -> tuple[bool, bool]:
 
 
 def _is_single_cycle(k: SimplicialComplex) -> bool:
-    """1-complex forming exactly one cycle through all its vertices."""
+    """1-complex forming exactly one cycle through all its vertices.
+
+    Every vertex must have degree 2; the edges then split into disjoint
+    cycles, and one walk from any vertex tells whether there is only one.
+    """
     if k.dim != 1:
         return False
-    deg: Counter = Counter()
+    nbrs: dict[int, list[int]] = {}
     for a, b in k.facets:
-        deg[a] += 1
-        deg[b] += 1
-    if any(d != 2 for d in deg.values()):
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    if any(len(pair) != 2 for pair in nbrs.values()):
         return False
-    closed, connected = is_pseudomanifold(k)
-    return closed and connected and len(k.facets) == len(k.vertex_set)
+    start = prev = k.facets[0][0]
+    cur, steps = nbrs[start][0], 1
+    while cur != start:
+        a, b = nbrs[cur]
+        prev, cur = cur, b if a == prev else a
+        steps += 1
+    return steps == len(nbrs)
 
 
 def is_shelling_order(order: Sequence[Facet], dim: int) -> bool:

@@ -25,6 +25,21 @@ from .errors import (
 Edge = tuple[int, ...]
 
 
+def _check_arity(k: int) -> None:
+    if k < 2:
+        raise BadArity(f"uniformity must be >= 2, got {k}")
+
+
+def _canonical_edge(k: int, n: int, edge: Sequence[int]) -> Edge:
+    """`edge` as a sorted tuple; InvalidVertex unless it is a k-set of 0..n-1."""
+    t = tuple(sorted(edge))
+    if len(t) != k or len(set(t)) != k:
+        raise InvalidVertex(f"edge {edge!r} is not a {k}-set of distinct vertices")
+    if t[0] < 0 or t[-1] >= n:
+        raise InvalidVertex(f"edge {edge!r} has a vertex outside 0..{n - 1}")
+    return t
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on vertex set {0..n-1}."""
@@ -36,16 +51,8 @@ class Hypergraph:
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[Sequence[int]]) -> "Hypergraph":
         """Canonicalize (sort within edges, dedupe, sort lexicographically)."""
-        if k < 2:
-            raise BadArity(f"uniformity must be >= 2, got {k}")
-        canon = set()
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(t) != k or len(set(t)) != k:
-                raise InvalidVertex(f"edge {e!r} is not a {k}-set of distinct vertices")
-            if t[0] < 0 or t[-1] >= n:
-                raise InvalidVertex(f"edge {e!r} has a vertex outside 0..{n - 1}")
-            canon.add(t)
+        _check_arity(k)
+        canon = {_canonical_edge(k, n, e) for e in edges}
         return cls(k=k, n=n, edges=tuple(sorted(canon)))
 
     @classmethod
@@ -126,21 +133,22 @@ class Hypergraph:
                 vals = [int(x) for x in fields]
             except ValueError:
                 raise ParseError(f"non-integer field in {line!r}", lineno)
-            if header is None:
-                if len(vals) != 2:
-                    raise ParseError("header must be 'k n'", lineno)
-                k, n = vals
-                header = lineno
-                continue
-            if len(vals) != k:
-                raise ParseError(f"expected {k} vertices, got {len(vals)}", lineno)
-            edges.append(vals)
+            try:
+                if header is None:
+                    if len(vals) != 2:
+                        raise ParseError("header must be 'k n'", lineno)
+                    k, n = vals
+                    _check_arity(k)
+                    header = lineno
+                    continue
+                if len(vals) != k:
+                    raise ParseError(f"expected {k} vertices, got {len(vals)}", lineno)
+                edges.append(_canonical_edge(k, n, vals))
+            except (BadArity, InvalidVertex) as exc:
+                raise ParseError(str(exc), lineno) from exc
         if header is None:
             raise ParseError("missing 'k n' header line")
-        try:
-            return cls.from_edges(k, n, edges)
-        except (InvalidVertex, BadArity) as exc:
-            raise ParseError(str(exc)) from exc
+        return cls.from_edges(k, n, edges)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,20 @@ class TestStats:
         path.write_text("3 5\n0 1\n")
         assert main(["stats", str(path)]) == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("3 5\n0 1 2\n0 1 1\n", "line 3: edge [0, 1, 1] is not a 3-set of distinct vertices"),
+            ("3 5\n0 1 5\n", "line 2: edge [0, 1, 5] has a vertex outside 0..4"),
+            ("# k n\n1 5\n", "line 2: uniformity must be >= 2, got 1"),
+        ],
+    )
+    def test_edge_error_names_line(self, tmp_path, capsys, text, error):
+        path = tmp_path / "bad.hg"
+        path.write_text(text)
+        assert main(["stats", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {error}\n"
+
 
 class TestVerifySphere:
     def test_octahedron(self, tmp_path, capsys):
@@ -245,6 +259,33 @@ class TestChainCommands:
             assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ("0 1", "0 4", "edge [0, 4] has a vertex outside 0..3"),
+            ("0 1", "1 1", "edge [1, 1] is not a 2-set of distinct vertices"),
+            ("0 1", "0 1 2", "edge [0, 1, 2] is not a 2-set of distinct vertices"),
+            ("2 4", "1 4", "uniformity must be >= 2, got 1"),
+        ],
+    )
+    def test_malformed_base_exit_2(self, tmp_path, capsys, old, new, error):
+        # The first such line of LINK 1's base is replaced.
+        out = tmp_path / "gen"
+        gen_small_chain(out)
+        capsys.readouterr()
+        lines = (out / "chain.chain").read_text().splitlines()
+        bad_line = lines.index(old, lines.index("LINK 1")) + 1
+        lines[bad_line - 1] = new
+        bad = tmp_path / "bad.chain"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            ChainCertificate.load(bad)
+        assert exc.value.line == bad_line
+        assert str(exc.value) == f"line {bad_line}: {error}"
+        assert main(["chain", "verify", "--chain", str(bad)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
 @pytest.fixture(scope="module")
 def small_chain_lines(tmp_path_factory):
     out = tmp_path_factory.mktemp("chain")
@@ -268,26 +309,7 @@ class TestChainFuzz:
         # line j or by `token`): the CLI verdict is 0 or 1, or exit 2 with a
         # one-line error, never a traceback.
         lines, path = small_chain_lines
-        lines = list(lines)
-        i %= len(lines)
-        if whole_line:
-            if op == "delete":
-                del lines[i]
-            elif op == "duplicate":
-                lines.insert(i, lines[i])
-            else:
-                lines[i] = lines[j % len(lines)]
-        else:
-            tokens = lines[i].split()
-            j %= len(tokens)
-            if op == "delete":
-                del tokens[j]
-            elif op == "duplicate":
-                tokens.insert(j, tokens[j])
-            else:
-                tokens[j] = token
-            lines[i] = " ".join(tokens)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(mutate(lines, whole_line, op, i, j, token)) + "\n")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["chain", "verify", "--chain", str(path)])
@@ -295,6 +317,64 @@ class TestChainFuzz:
         if code == EXIT_ERROR:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+
+
+def mutate(lines, whole_line, op, i, j, token):
+    """Line i, or token j of it, deleted, duplicated or replaced (by line j
+    or by `token`)."""
+    lines = list(lines)
+    i %= len(lines)
+    if whole_line:
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[j % len(lines)]
+    else:
+        tokens = lines[i].split()
+        j %= len(tokens)
+        if op == "delete":
+            del tokens[j]
+        elif op == "duplicate":
+            tokens.insert(j, tokens[j])
+        else:
+            tokens[j] = token
+        lines[i] = " ".join(tokens)
+    return lines
+
+
+class TestSphereFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        whole_line=st.booleans(),
+        op=st.sampled_from(["delete", "duplicate", "replace"]),
+        i=st.integers(0, 999),
+        j=st.integers(0, 999),
+        token=st.sampled_from(["-1", "0", "1", "2", "5", "6", "99", "x", "1/0"]),
+    )
+    @example(whole_line=False, op="replace", i=1, j=1, token="0")  # facet 0 0 4
+    def test_mutated_sc_exits_0_1_or_2(self, tmp_path_factory, whole_line, op, i, j, token):
+        # The CLI verdict on a mutated octahedron is 0 or 1, or exit 2 with
+        # a one-line error, never a traceback.
+        path = octahedron_file(tmp_path_factory.mktemp("sc"))
+        lines = mutate(path.read_text().splitlines(), whole_line, op, i, j, token)
+        path.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify-sphere", str(path)])
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_ERROR)
+        if code == EXIT_ERROR:
+            assert err.getvalue().startswith("error: line ")
+            assert err.getvalue().count("\n") == 1
+
+    def test_repeated_vertex_names_line(self, tmp_path, capsys):
+        path = octahedron_file(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[2] = "0 0 2"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify-sphere", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: line 3: facet (0, 0, 2) has repeated vertices\n"
 
 
 class TestPipeline:
@@ -351,6 +431,14 @@ class TestExtremalCommands:
         assert code == EXIT_PASS
         pg = Hypergraph.load(out / "property_graph.hg")
         assert len(pg.edges) == 56
+
+    @pytest.mark.parametrize("epsilon", ["x", "1/0"])
+    def test_pg_bad_epsilon_exit_2(self, tmp_path, capsys, epsilon):
+        host = tmp_path / "h.hg"
+        Hypergraph.complete(3, 6).save(host)
+        code = main(["extremal", "pg", "--input", str(host), "-s", "5", "--epsilon", epsilon])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --epsilon takes a fraction, got {epsilon!r}\n"
 
     def test_turan(self, tmp_path, capsys):
         g = tmp_path / "g.hg"

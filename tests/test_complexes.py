@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+import sys
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,12 @@ from spansphere.errors import (
     WrongDim,
 )
 from spansphere.hypergraph import Hypergraph
+
+# The benchmark's input generator and its checks, written apart from
+# spansphere, serve as the reference for the certificate.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
+import inputs  # noqa: E402
 
 
 def two_points():
@@ -279,6 +287,91 @@ class TestVerifySphere:
         cert = verify_sphere(sphere, attempt_shelling=False)
         assert cert.level is CertLevel.LINK_VERIFIED
         assert len(checked) == len(set(checked)) == 22
+
+
+def stacked(facets, facet, v):
+    """Replace `facet` by the cone from a new vertex v over its boundary."""
+    rest = [f for f in facets if f != facet]
+    return rest + [tuple(sorted(r + (v,))) for r in combinations(facet, len(facet) - 1)]
+
+
+class TestFirstFailure:
+    def test_pinched_2_complex(self):
+        # Two opposite faces of the octahedron stacked from one vertex 6: a
+        # closed, connected surface whose only bad link, at 6, is two
+        # triangles.  A closed connected 2-complex whose links are not all
+        # single cycles has Euler characteristic below 2, so the Euler check
+        # is the one that fails.
+        octahedron_facets = [tuple(sorted(f)) for f in product((0, 3), (1, 4), (2, 5))]
+        pinched = SimplicialComplex.from_facets(
+            stacked(stacked(octahedron_facets, (0, 1, 2), 6), (3, 4, 5), 6)
+        )
+        assert [v for v in sorted(pinched.vertex_set)
+                if not complexes._is_single_cycle(pinched.link(v))] == [6]
+        assert pinched.link(6).facets == ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
+        cert = verify_sphere(pinched)
+        assert cert.level is CertLevel.REJECTED
+        assert cert.failure_reason == "Euler characteristic 1 != 2"
+
+    def test_first_rejected_link_of_3_complex(self):
+        # The 16-cell (antipodes i and i + 4, here with 0 and 6 swapped)
+        # with two facets that share only vertex 6 stacked from one vertex
+        # 8.  The links of 6 (a pinched 2-sphere) and of 8 (two tetrahedron
+        # boundaries sharing 6) are rejected; the certificate names the
+        # lower one.
+        swap = {0: 6, 6: 0}
+        cell16 = [tuple(sorted(swap.get(i + 4 * s, i + 4 * s) for i, s in enumerate(signs)))
+                  for signs in product((0, 1), repeat=4)]
+        facets = stacked(stacked(cell16, (1, 2, 3, 6), 8), (0, 5, 6, 7), 8)
+        k = SimplicialComplex.from_facets(facets)
+        cert = verify_sphere(k)
+        assert (cert.level, cert.euler, cert.pseudomanifold, cert.strongly_connected) == (
+            CertLevel.REJECTED, 0, True, True)
+        assert cert.failure_reason == "link of vertex 6 rejected: Euler characteristic 1 != 2"
+        assert verify_sphere(k.link(8)).failure_reason == "not a closed connected surface"
+        assert checks.check_sphere(k.facets, 3) is not None
+
+
+@pytest.fixture(scope="module")
+def mix_items():
+    return [item for seed in (1, 2, 3) for item in inputs.verify_mix(seed) if item.dim <= 3]
+
+
+def agrees_with_reference(facets) -> bool:
+    k = SimplicialComplex.from_facets(facets)
+    accepted = verify_sphere(k).level is not CertLevel.REJECTED
+    assert accepted == (checks.check_sphere(k.facets, k.dim) is None)
+    return accepted
+
+
+class TestAgainstReference:
+    """verify_sphere accepts exactly what the benchmark's independent checks
+    accept, in dimensions 1 to 3."""
+
+    def test_verify_mix(self, mix_items):
+        assert len({item.dim for item in mix_items}) == 3
+        for item in mix_items:
+            assert agrees_with_reference(item.facets) == item.sphere
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), op=st.sampled_from(["drop", "add", "replace"]))
+    def test_mutated_verify_mix(self, mix_items, data, op):
+        item = mix_items[data.draw(st.integers(0, len(mix_items) - 1), label="item")]
+        facets = list(item.facets)
+        top = max(v for f in facets for v in f) + 1  # one vertex beyond the complex
+        i = data.draw(st.integers(0, len(facets) - 1), label="facet")
+        if op == "drop":
+            del facets[i]
+        elif op == "add":
+            facets.append(tuple(data.draw(
+                st.lists(st.integers(0, top), min_size=item.dim + 1, max_size=item.dim + 1,
+                         unique=True), label="new facet")))
+        else:
+            f = facets[i]
+            j = data.draw(st.integers(0, item.dim), label="position")
+            v = data.draw(st.integers(0, top).filter(lambda x: x not in f), label="vertex")
+            facets[i] = f[:j] + (v,) + f[j + 1:]
+        agrees_with_reference(facets)
 
 
 class TestSpanningCopy:
