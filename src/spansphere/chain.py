@@ -8,8 +8,8 @@ is rejected where the chain is built or read (`ParseError` from
 `ChainCertificate.load`, naming the link's `LINK` line).  The chain
 properties between links are checked by `verify_chain`.  Chains are
 generated synthetically (with the certificate emitted alongside); the
-assembler allocates a spanning sphere per link and glues neighbours along
-the shared facets.
+assembler allocates a spanning sphere per link, one link after another in
+link order, and glues neighbours along the shared facets.
 """
 
 from __future__ import annotations
@@ -433,8 +433,9 @@ def spanning_sphere(host, certificate: ChainCertificate, jobs: int = 1) -> Simpl
     Checks the certificate's structure (chain properties 1-5, ChainInvalid
     on a violation) but not that the host contains each link's transversals:
     `verify_chain` checks that membership, and `is_spanning_copy` checks the
-    output's facets against the host.  Link allocations are independent;
-    with jobs > 1 they run concurrently and are always merged in link order.
+    output's facets against the host.  Links are allocated one after another,
+    in link order.  `jobs` is accepted and ignored: a thread per link gave no
+    speed-up under the GIL, and the benchmark still passes it.
     """
     violations = _structure_violations(host, certificate)
     if violations:
@@ -456,21 +457,12 @@ def spanning_sphere(host, certificate: ChainCertificate, jobs: int = 1) -> Simpl
         if f2 is None:
             f2 = _free_facet(link, banned)
         tasks.append((i, link, f1, f2))
-
-    def solve(task):
-        i, link, f1, f2 = task
+    pieces = []
+    for i, link, f1, f2 in tasks:
         try:
-            return allocate(link.base, link, f1, f2).sphere
+            pieces.append(allocate(link.base, link, f1, f2).sphere)
         except SphereError as exc:
             raise ChainSolveError(i, exc) from exc
-
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pieces = list(pool.map(solve, tasks))
-    else:
-        pieces = [solve(t) for t in tasks]
     return glue(pieces[0], zip(pieces[1:], certificate.shared))
 
 

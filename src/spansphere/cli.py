@@ -271,8 +271,8 @@ def cmd_chain_verify(args) -> int:
     return report.exit_code
 
 
-def _solve_and_check(host, certificate, report: RunReport, jobs: int):
-    sphere = chain_mod.spanning_sphere(host, certificate, jobs=jobs)
+def _solve_and_check(host, certificate, report: RunReport):
+    sphere = chain_mod.spanning_sphere(host, certificate)
     cert = verify_sphere(sphere, attempt_shelling=False)
     report.check("spanning", ok=is_spanning_copy(sphere, host))
     report.check("certificate", ok=cert.level is not CertLevel.REJECTED)
@@ -286,7 +286,7 @@ def cmd_chain_solve(args) -> int:
     rep = chain_mod.verify_chain(host, certificate)
     if not rep.ok:
         raise ChainInvalid("; ".join(m for _, m in rep.violations))
-    sphere = _solve_and_check(host, certificate, report, args.jobs)
+    sphere = _solve_and_check(host, certificate, report)
     out = _out_dir(args)
     if out is not None:
         sphere.save(out / "sphere.sc")
@@ -301,7 +301,7 @@ def cmd_pipeline(args) -> int:
     report.check("chain_valid", ok=rep.ok)
     out = _out_dir(args)
     if rep.ok:
-        sphere = _solve_and_check(host, certificate, report, args.jobs)
+        sphere = _solve_and_check(host, certificate, report)
         if out is not None:
             sphere.save(out / "sphere.sc")
             certificate.save(out / "chain.chain")
@@ -385,12 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, budget=False, jobs=False, seed=False):
+    def common(p, budget=False, seed=False):
         p.add_argument("--out", default=None, help="directory for artifacts")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_SHELLING_BUDGET)
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -445,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("solve", help="assemble the spanning sphere of a chain")
     p.add_argument("--chain", required=True)
     p.add_argument("--host", default=None)
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(func=cmd_chain_solve)
 
     p = sub.add_parser("pipeline", help="chain verify + solve + final verification")
@@ -456,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--links", type=int, default=None)
     p.add_argument("--part-size", type=int, default=None, dest="part_size")
     p.add_argument("--singleton", action="store_true")
-    common(p, jobs=True, seed=True)
+    common(p, seed=True)
     p.set_defaults(func=cmd_pipeline)
 
     extremal = sub.add_parser("extremal", help="toy-scale density tools")

@@ -5,9 +5,10 @@ and 2, and for d >= 3 a graded certificate built from necessary conditions
 (pseudomanifold, Euler characteristic), recursive vertex-link verification,
 and an optional bounded-backtracking shelling search.
 
-Vertex links are read from a vertex-to-facet index built once per complex,
-and a cycle is recognised by vertex degrees and one walk, so the d = 2
-certificate costs time linear in the number of facets.
+A cycle is recognised by vertex degrees and one walk.  A closed, connected
+surface with Euler characteristic 2 has only single-cycle vertex links, so
+the d = 2 certificate builds no link and costs time linear in the number of
+facets; for d >= 3, links are read from a vertex-to-facet index.
 """
 
 from __future__ import annotations
@@ -300,26 +301,32 @@ def _is_single_cycle(k: SimplicialComplex) -> bool:
     return steps == len(nbrs)
 
 
+def _extends_shelling(f: Facet, dim: int, ridges: set[Facet], prev: list[frozenset[int]]) -> bool:
+    """Whether facet f meets the union of the facets `prev`, whose ridges are
+    `ridges`, in a nonempty pure (dim-1)-subcomplex of its boundary."""
+    shared = [frozenset(r) for r in combinations(f, dim) if r in ridges]
+    if not shared:
+        return False
+    fs = frozenset(f)
+    for g in prev:
+        inter = fs & g
+        if inter and not any(inter <= r for r in shared):
+            return False
+    return True
+
+
 def is_shelling_order(order: Sequence[Facet], dim: int) -> bool:
     """Check the prefix condition: each new facet meets the previous union in
     a nonempty pure (dim-1)-subcomplex of its boundary."""
     if not order:
         return False
-    seen_ridges: set[Facet] = set()
+    ridges: set[Facet] = set()
     prev: list[frozenset[int]] = []
     for i, f in enumerate(order):
-        fs = frozenset(f)
-        if i > 0:
-            shared = [r for r in combinations(f, dim) if r in seen_ridges]
-            if not shared:
-                return False
-            shared_sets = [frozenset(r) for r in shared]
-            for g in prev:
-                inter = fs & g
-                if inter and not any(inter <= r for r in shared_sets):
-                    return False
-        prev.append(fs)
-        seen_ridges.update(combinations(f, dim))
+        if i > 0 and not _extends_shelling(f, dim, ridges, prev):
+            return False
+        prev.append(frozenset(f))
+        ridges.update(combinations(f, dim))
     return True
 
 
@@ -340,25 +347,13 @@ def _find_shelling(k: SimplicialComplex, budget: int) -> tuple[Facet, ...] | Non
             if nodes > budget:
                 return None
             f = facets[idx]
-            fs = frozenset(f)
-            if order:
-                shared = [r for r in combinations(f, k.dim) if r in ridges]
-                if not shared:
-                    continue
-                shared_sets = [frozenset(r) for r in shared]
-                ok = True
-                for g in prev:
-                    inter = fs & g
-                    if inter and not any(inter <= r for r in shared_sets):
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            if order and not _extends_shelling(f, k.dim, ridges, prev):
+                continue
             added = [r for r in combinations(f, k.dim) if r not in ridges]
             order.append(f)
             used.add(idx)
             ridges.update(added)
-            prev.append(fs)
+            prev.append(frozenset(f))
             res = extend(order, used, ridges, prev)
             if res is not None or nodes > budget:
                 return res
@@ -425,10 +420,12 @@ def _verify_sphere(
             return reject("not a closed connected surface", closed, connected)
         if chi != 2:
             return reject(f"Euler characteristic {chi} != 2", closed, connected)
-        for v in sorted(k.vertex_set):
-            lk = k.link(v)
-            if lk is None or not _is_single_cycle(lk):
-                return reject(f"link of vertex {v} is not a single cycle", closed, connected)
+        # Every vertex link is a single cycle, so none is walked.  Each edge
+        # lies in two triangles, so a link is 2-regular: a union of cycles.
+        # Splitting each vertex into one copy per cycle gives a closed surface
+        # with the same facet adjacency, so connected, whose Euler
+        # characteristic is chi plus the extra copies; such a surface has
+        # chi <= 2, so chi = 2 leaves no room for a second cycle.
         return SphereCertificate(CertLevel.FULL_DIM2, chi, closed, connected)
 
     # d >= 3

@@ -139,6 +139,8 @@ class Hypergraph:
                         raise ParseError("header must be 'k n'", lineno)
                     k, n = vals
                     _check_arity(k)
+                    if n < 0:
+                        raise ParseError(f"vertex count must be >= 0, got {n}", lineno)
                     header = lineno
                     continue
                 if len(vals) != k:
@@ -196,15 +198,9 @@ class TightWalk:
 
 def line_graph(h: Hypergraph) -> Hypergraph:
     """Graph on edge indices; i~j iff the edges share exactly k-1 vertices."""
-    buckets: dict[Edge, list[int]] = {}
-    for idx, e in enumerate(h.edges):
-        for s in combinations(e, h.k - 1):
-            buckets.setdefault(s, []).append(idx)
-    pairs = set()
-    for members in buckets.values():
-        for a, b in combinations(members, 2):
-            pairs.add((a, b))
-    return Hypergraph.from_edges(2, len(h.edges), pairs) if h.edges else Hypergraph(2, 0, ())
+    adj = _line_adjacency(h)
+    pairs = [(a, b) for a, nbrs in enumerate(adj) for b in nbrs if a < b]
+    return Hypergraph.from_edges(2, len(adj), pairs)
 
 
 def _line_adjacency(h: Hypergraph) -> list[list[int]]:

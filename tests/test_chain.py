@@ -159,12 +159,6 @@ class TestSpanningSphere:
         for shared in inst.certificate.shared:
             assert shared not in sphere.facet_set
 
-    def test_jobs_deterministic(self):
-        inst = generate_chain_host(3, 6, 3, part_size_for(3, 6), seed=9)
-        one = spanning_sphere(inst.host, inst.certificate, jobs=1)
-        two = spanning_sphere(inst.host, inst.certificate, jobs=3)
-        assert one == two
-
     def test_invalid_chain_rejected(self):
         inst = generate_chain_host(3, 6, 2, part_size_for(3, 6), seed=10)
         cert = inst.certificate

@@ -66,6 +66,7 @@ class TestStats:
             ("3 5\n0 1 2\n0 1 1\n", "line 3: edge [0, 1, 1] is not a 3-set of distinct vertices"),
             ("3 5\n0 1 5\n", "line 2: edge [0, 1, 5] has a vertex outside 0..4"),
             ("# k n\n1 5\n", "line 2: uniformity must be >= 2, got 1"),
+            ("3 -1\n", "line 1: vertex count must be >= 0, got -1"),
         ],
     )
     def test_edge_error_names_line(self, tmp_path, capsys, text, error):
@@ -344,6 +345,35 @@ def mutate(lines, whole_line, op, i, j, token):
     return lines
 
 
+class TestHypergraphFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edgeless=st.booleans(),
+        whole_line=st.booleans(),
+        op=st.sampled_from(["delete", "duplicate", "replace"]),
+        i=st.integers(0, 999),
+        j=st.integers(0, 999),
+        token=st.sampled_from(["-1", "0", "1", "2", "4", "5", "99", "x", "1/0"]),
+    )
+    @example(edgeless=True, whole_line=False, op="replace", i=0, j=1, token="-1")  # 3 -1
+    def test_mutated_hg_exits_0_or_2(
+        self, tmp_path_factory, edgeless, whole_line, op, i, j, token
+    ):
+        # stats on a mutated K_5^(3), or on its header line alone, either
+        # reports or exits 2 with a one-line error, never a traceback.
+        path = write_k5(tmp_path_factory.mktemp("hg"))
+        lines = path.read_text().splitlines()[: 1 if edgeless else None]
+        lines = mutate(lines, whole_line, op, i, j, token)
+        path.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["stats", str(path)])
+        assert code in (EXIT_PASS, EXIT_ERROR)
+        if code == EXIT_ERROR:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+
 class TestSphereFuzz:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -412,6 +442,9 @@ class TestFlags:
              "--seed", "1"],
             ["chain", "solve", "--chain", "C.chain", "--seed", "1"],
             ["extremal", "pg", "--input", "H.hg", "-s", "5", "--seed", "1"],
+            ["chain", "solve", "--chain", "C.chain", "--jobs", "2"],
+            ["pipeline", "-k", "3", "-s", "6", "--links", "3", "--part-size", "35",
+             "--jobs", "2"],
         ],
     )
     def test_unread_flag_is_usage_error(self, argv, capsys):

@@ -288,6 +288,17 @@ class TestVerifySphere:
         assert cert.level is CertLevel.LINK_VERIFIED
         assert len(checked) == len(set(checked)) == 22
 
+    @pytest.mark.parametrize("sphere, links", [(octahedron(), 0), (suspension(octahedron()), 8)])
+    def test_2_sphere_links_not_built(self, monkeypatch, sphere, links):
+        # A 2-sphere is certified without building any vertex link, so a
+        # 3-sphere builds only the links of its own 8 vertices.
+        calls = []
+        link = SimplicialComplex.link
+        monkeypatch.setattr(SimplicialComplex, "link", lambda k, v: calls.append(v) or link(k, v))
+        assert verify_sphere(sphere, attempt_shelling=False).level in (
+            CertLevel.FULL_DIM2, CertLevel.LINK_VERIFIED)
+        assert len(calls) == links
+
 
 def stacked(facets, facet, v):
     """Replace `facet` by the cone from a new vertex v over its boundary."""
