@@ -164,21 +164,28 @@ class ChainCertificate:
 class LazyChainHost:
     """Edge-membership view of the union of a chain's link blow-ups.
 
-    Used when materializing the edge list would be prohibitive.
+    Used when materializing the edge list would be prohibitive.  An edge of
+    a link lies inside that link's parts, so membership is looked up only
+    in the links whose parts contain the edge's first vertex (in a chain,
+    at most two).
     """
 
     def __init__(self, certificate: ChainCertificate):
         self.certificate = certificate
-        vertices: set[int] = set()
+        self._links_at: dict[int, list[Blowup]] = {}
         for link in certificate.links:
-            vertices.update(link.vertex_set)
+            for v in link.vertex_set:
+                self._links_at.setdefault(v, []).append(link)
+        vertices = self._links_at.keys()
         self.k = certificate.k
         self.n = max(vertices) + 1 if vertices else 0
         if min(vertices, default=0) < 0 or len(vertices) != self.n:
             raise BadParams("chain links do not cover a dense vertex range")
 
     def has_edge(self, f: Sequence[int]) -> bool:
-        return any(link.has_edge(f) for link in self.certificate.links)
+        if not f:
+            return False
+        return any(link.has_edge(f) for link in self._links_at.get(f[0], ()))
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,6 @@ class BadParams(SphereError):
     """Construction parameters outside their legal range."""
 
 
-class MissingFamilyFacet(SphereError):
-    """A doubly-covering sphere lacks a family facet the operation needs."""
-
-
 class HallFailure(SphereError):
     """Bipartite matching cannot saturate the left side."""
 

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .complexes import Facet, SimplicialComplex, _subdivide_with
-from .errors import BadParams, MissingFamilyFacet
+from .errors import BadParams
 
 PathEdge = tuple[int, ...]
 
@@ -283,67 +283,63 @@ def thin_path_sphere(k: int) -> DoublyCoveringSphere:
     )
 
 
-def grow_path_sphere(d: DoublyCoveringSphere) -> DoublyCoveringSphere:
-    """Prepend a path position: glue a fresh thin-path sphere onto the
-    fp-facet of the first path edge and reassemble both families."""
-    k = d.blowup.k
-    first_edge = tuple(range(k))
-    fp_first = d.family_fp.get(first_edge)
-    if fp_first is None:
-        raise MissingFamilyFacet(f"no fp facet over the first path edge {first_edge}")
-    by_pos = {d.blowup.position_of[x]: x for x in fp_first}
-
-    thin = thin_path_sphere(k)
-    base = max(d.blowup.vertex_set) + 1
-    vmap: dict[int, int] = {0: base}
-    for j in range(1, k):
-        vmap[2 * j - 1] = base + j          # fresh u_j -> final position j
-        vmap[2 * j] = by_pos[j - 1]         # identified v_j
-    vmap[2 * k - 1] = by_pos[k - 1]         # identified u_k
-
-    def remap(f: Facet) -> Facet:
-        return tuple(sorted(vmap[x] for x in f))
-
-    thin_facets = {remap(f) for f in thin.sphere.facets}
-    identified = tuple(sorted(fp_first))
-    assert identified in thin_facets
-    new_facets = (set(d.sphere.facets) | thin_facets) - {identified}
-
-    new_parts = [(base,)]
-    for j in range(1, k):
-        new_parts.append(tuple(sorted(d.blowup.parts[j - 1] + (base + j,))))
-    new_parts.extend(d.blowup.parts[k - 1 :])
-    blowup = PathBlowup(k=k, parts=tuple(new_parts))
-
-    def shift(e: PathEdge) -> PathEdge:
-        return tuple(i + 1 for i in e)
-
-    t_e1 = tuple(range(k))
-    t_e2 = tuple(range(1, k + 1))
-    fam_f = {shift(e): f for e, f in d.family_f.items()}
-    fam_f[t_e1] = remap(thin.family_f[t_e1])
-    fam_fp = {shift(e): f for e, f in d.family_fp.items() if e != first_edge}
-    fam_fp[t_e1] = remap(thin.family_fp[t_e1])
-    fam_fp[t_e2] = remap(thin.family_fp[t_e2])
-
-    return DoublyCoveringSphere(
-        sphere=SimplicialComplex.from_facets(new_facets),
-        blowup=blowup,
-        family_f=fam_f,
-        family_fp=fam_fp,
-    )
-
-
 def tight_path_blowup_sphere(k: int, length: int) -> DoublyCoveringSphere:
     """Doubly edge-covering sphere over a tight path on `length` vertices,
     with the ramp profile (1,2,..,k-1,k,..,k,k-1,..,2,1); fits inside
-    P_length(k,..,k) since no position uses more than k vertices."""
+    P_length(k,..,k) since no position uses more than k vertices.
+
+    Built in one pass from the thin-path sphere over the last k+1
+    positions: each step prepends a path position by gluing a fresh copy
+    of the thin-path sphere onto the fp-facet of the current first path
+    edge.  Positions are counted in the final path from the start, so no
+    part or family key is re-shifted as the ladder grows.
+    """
     if length < k + 1:
         raise BadParams(f"need length >= k+1, got length={length}, k={k}")
-    d = thin_path_sphere(k)
-    for _ in range(length - k - 1):
-        d = grow_path_sphere(d)
-    return d
+    thin = thin_path_sphere(k)
+    steps = length - k - 1
+
+    def edge(start: int) -> PathEdge:
+        return tuple(range(start, start + k))
+
+    parts = [[] for _ in range(steps)] + [list(p) for p in thin.blowup.parts]
+    pos = {v: i + steps for v, i in thin.blowup.position_of.items()}
+    facets = set(thin.sphere.facets)
+    fam_f = {edge(e[0] + steps): f for e, f in thin.family_f.items()}
+    fam_fp = {edge(e[0] + steps): f for e, f in thin.family_fp.items()}
+    t_e1 = tuple(range(k))
+    t_e2 = tuple(range(1, k + 1))
+    base = 2 * k  # the thin sphere uses 0..2k-1; each step adds k vertices
+    for start in range(steps - 1, -1, -1):
+        # glue along the fp-facet of the first edge; its vertices sit at
+        # positions start+1..start+k and stand in for thin v_1..v_{k-1}, u_k
+        identified = fam_fp.pop(edge(start + 1))
+        at = {pos[x]: x for x in identified}
+        vmap = {0: base, 2 * k - 1: at[start + k]}
+        parts[start].append(base)
+        pos[base] = start
+        for j in range(1, k):
+            vmap[2 * j - 1] = base + j      # fresh u_j at position start+j
+            vmap[2 * j] = at[start + j]     # identified v_j
+            parts[start + j].append(base + j)
+            pos[base + j] = start + j
+
+        def remap(f: Facet) -> Facet:
+            return tuple(sorted(vmap[x] for x in f))
+
+        facets.update(remap(f) for f in thin.sphere.facets)
+        facets.remove(identified)
+        fam_f[edge(start)] = remap(thin.family_f[t_e1])
+        fam_fp[edge(start)] = remap(thin.family_fp[t_e1])
+        fam_fp[edge(start + 1)] = remap(thin.family_fp[t_e2])
+        base += k
+
+    return DoublyCoveringSphere(
+        sphere=SimplicialComplex.from_facets(facets),
+        blowup=PathBlowup(k=k, parts=tuple(tuple(p) for p in parts)),
+        family_f=fam_f,
+        family_fp=fam_fp,
+    )
 
 
 def ladder_profile(k: int, length: int) -> tuple[int, ...]:

@@ -231,6 +231,49 @@ class TestLazyHost:
             assert lazy.has_edge(e)
         assert not lazy.has_edge((0, 1)) or host.has_edge((0, 1))
 
+    @pytest.mark.parametrize("k, s, links, seed", [(3, 6, 4, 21), (2, 6, 6, 22)])
+    def test_indexed_membership_matches_all_links(self, k, s, links, seed):
+        inst = generate_chain_host(k, s, links, part_size_for(k, s), seed=seed)
+        cert = inst.certificate
+        lazy = LazyChainHost(cert)
+
+        def all_links(f):
+            return any(link.has_edge(f) for link in cert.links)
+
+        sphere = spanning_sphere(inst.host, cert)
+        for f in sphere.facets:
+            assert lazy.has_edge(f) is all_links(f) is True
+        for shared in cert.shared:
+            assert lazy.has_edge(shared) is all_links(shared) is True
+        straddling = []
+        for left, right in zip(cert.links, cert.links[1:]):
+            only_left = sorted(left.vertex_set - right.vertex_set)
+            only_right = sorted(right.vertex_set - left.vertex_set)
+            straddling.append(tuple(only_left[: k - 1]) + (only_right[0],))
+            straddling.append((only_right[0],) + tuple(only_left[: k - 1]))
+            straddling.append((only_left[0],) + tuple(only_right[: k - 1]))
+        for f in straddling:
+            assert lazy.has_edge(f) is all_links(f) is False
+        f = sphere.facets[0]
+        for bad in ((lazy.n,) + f[1:], f[1:] + (lazy.n,), f[:-1], f + (lazy.n,), (f[0],) * k, ()):
+            assert lazy.has_edge(bad) is all_links(bad) is False
+
+    def test_spanning_copy_asks_at_most_two_links_per_facet(self, monkeypatch):
+        inst = generate_chain_host(3, 6, 16, 31, seed=1)
+        assert isinstance(inst.host, LazyChainHost)
+        sphere = spanning_sphere(inst.host, inst.certificate)
+        calls = 0
+        has_edge = Blowup.has_edge
+
+        def counted(self, f):
+            nonlocal calls
+            calls += 1
+            return has_edge(self, f)
+
+        monkeypatch.setattr(Blowup, "has_edge", counted)
+        assert is_spanning_copy(sphere, inst.host)
+        assert calls <= 2 * len(sphere.facets)
+
 
 class TestLowerBoundCodegree:
     def test_delta_star_exact(self):

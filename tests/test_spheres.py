@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from spansphere.complexes import CertLevel, euler_characteristic, verify_sphere
@@ -10,7 +12,6 @@ from spansphere.spheres import (
     PartiteHost,
     canonical_parts,
     check_doubly_covering,
-    grow_path_sphere,
     ladder_profile,
     partite_sphere_a,
     partite_sphere_b,
@@ -131,22 +132,21 @@ class TestThinPath:
 
 class TestGrowPath:
     def test_grow_thin_3(self):
-        d = grow_path_sphere(thin_path_sphere(3))
+        d = tight_path_blowup_sphere(3, 5)
         assert d.blowup.profile == (1, 2, 3, 2, 1)
         assert len(d.sphere.vertex_set) == 9
         assert check_doubly_covering(d) == []
         assert verify_sphere(d.sphere).level is CertLevel.FULL_DIM2
 
     def test_grow_twice(self):
-        d = grow_path_sphere(grow_path_sphere(thin_path_sphere(3)))
+        d = tight_path_blowup_sphere(3, 6)
         assert d.blowup.profile == (1, 2, 3, 3, 2, 1)
         assert len(d.sphere.vertex_set) == 12
         assert check_doubly_covering(d) == []
 
     def test_families_disjoint_after_growth(self):
-        d = thin_path_sphere(4)
-        for _ in range(3):
-            d = grow_path_sphere(d)
+        for length in (6, 7, 8):
+            d = tight_path_blowup_sphere(4, length)
             for fam in (d.family_f, d.family_fp):
                 seen = set()
                 for facet in fam.values():
@@ -180,6 +180,28 @@ class TestTightPathBlowupSphere:
     def test_bad_params(self):
         with pytest.raises(BadParams):
             tight_path_blowup_sphere(3, 3)
+
+    @pytest.mark.parametrize(
+        "k, length, digest, facets",
+        [
+            (2, 40, "4de73c3b674f0934", 78),
+            (3, 24, "9017fb392cc66a6e", 128),
+            (4, 20, "ca58a6c4b44301ea", 226),
+            (5, 12, "26ecdbd99cfb2d61", 212),
+        ],
+    )
+    def test_output_pinned(self, k, length, digest, facets):
+        # facets, parts and both families, dict order included, as built
+        # by gluing one thin-path sphere per step
+        d = tight_path_blowup_sphere(k, length)
+        state = (
+            d.sphere.facets,
+            d.blowup.parts,
+            list(d.family_f.items()),
+            list(d.family_fp.items()),
+        )
+        assert len(d.sphere.facets) == facets
+        assert hashlib.sha256(repr(state).encode()).hexdigest()[:16] == digest
 
 
 class TestDoublyCoveringMatrix:
