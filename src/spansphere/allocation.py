@@ -3,11 +3,15 @@ and producing a spanning sphere of a nearly-regular blow-up with two
 prescribed facets.
 
 The pipeline: a covering tight walk of the base lifts to a tight path in the
-blow-up, the ladder sphere over that path is embedded and relabelled so the
-prescribed facets join its second facet family, the rest of the host is
-partitioned into complete-partite pieces via an injective pair-to-edge
-assignment plus a perfect matching, and the per-piece spheres are glued onto
-the backbone through the first family's facets.
+blow-up; the ladder sphere over that path is built on canonical labels; one
+embedding into the host, composed from the path's part assignment and a
+within-part swap computed on those canonical labels, puts each prescribed
+facet in place of a facet of the ladder's second family, and relabels the
+ladder's facets and first family once; the rest of the host is partitioned
+into complete-partite pieces via an injective pair-to-edge assignment plus
+a perfect matching, each piece's sphere is built through its entry facet
+directly, and the per-piece spheres are glued onto the backbone through
+the first family's facets.
 """
 
 from __future__ import annotations
@@ -315,27 +319,22 @@ def fill_blowup(
     spheres: dict[Edge, SimplicialComplex] = {}
     shapes: dict[Edge, tuple[int, ...]] = {}
     for e in r.edges:
-        groups = {x: tuple(sorted(v for v in pieces[e] if blowup.phi[v] == x)) for x in e}
+        groups: dict[int, list[int]] = {x: [] for x in e}
+        for v in sorted(pieces[e]):
+            groups[blowup.phi[v]].append(v)
         shapes[e] = tuple(len(groups[x]) for x in e)
-        facet_by_base = {blowup.phi[v]: v for v in entry[e]}
         if e == e_star:
-            order = [x for x in e if x not in e[:3]] + list(e[:3])
-            builder = lambda parts, des: partite_sphere_b(k, 3, parts=parts, designated=des)
+            order = e[3:] + e[:3]
         else:
-            big = [x for x in e if len(groups[x]) > 2]
-            if big:
-                assert len(big) == 2 and len(groups[big[0]]) == len(groups[big[1]])
-                ell = len(groups[big[0]])
-            else:
-                ell = 2
-                big = list(e[-2:])
-            order = [x for x in e if x not in big] + big
-            builder = lambda parts, des, _l=ell: partite_sphere_a(
-                k, _l, parts=parts, designated=des
-            )
-        parts_ordered = tuple(groups[x] for x in order)
+            big = tuple(x for x in e if len(groups[x]) > 2) or e[-2:]
+            order = tuple(x for x in e if x not in big) + big
+        parts = tuple(tuple(groups[x]) for x in order)
+        facet_by_base = {blowup.phi[v]: v for v in entry[e]}
         designated = [facet_by_base[x] for x in order]
-        spheres[e] = builder(parts_ordered, designated)
+        if e == e_star:
+            spheres[e] = partite_sphere_b(k, 3, parts=parts, designated=designated)
+        else:
+            spheres[e] = partite_sphere_a(k, len(parts[-1]), parts=parts, designated=designated)
 
     return FillResult(
         spheres=spheres,
@@ -517,42 +516,29 @@ def allocate(
         for cv, hv in zip(canon_part, hosts):
             vmap[cv] = hv
 
-    def remap(f: Facet) -> Facet:
-        return tuple(sorted(vmap[x] for x in f))
-
-    emb_facets = [remap(f) for f in dcs.sphere.facets]
-    path_edges = dcs.blowup.path_edges()
-    proj = {
-        pe: tuple(sorted(walk.vertices[i] for i in pe)) for pe in path_edges
-    }
     first_pe: dict[Edge, tuple[int, ...]] = {}
-    for pe in path_edges:
-        first_pe.setdefault(proj[pe], pe)
+    for pe in dcs.blowup.path_edges():
+        first_pe.setdefault(tuple(sorted(walk.vertices[i] for i in pe)), pe)
 
-    fam_f = {pe: remap(f) for pe, f in dcs.family_f.items()}
-    fam_fp = {pe: remap(f) for pe, f in dcs.family_fp.items()}
-
+    # Each prescribed facet trades places, vertex for vertex within a part,
+    # with the fp-facet over the first path edge above its base edge; the
+    # base edges of the constraints are disjoint, so the trades commute.
     swap: dict[int, int] = {}
     for eb, target in constraints:
         pe = first_pe.get(eb)
         assert pe is not None, "covering walk misses a base edge"
-        source_by_base = _facet_by_base(fam_fp[pe], walk, vmap, dcs)
         target_by_base = {old_to_new[blowup.phi[hv]]: hv for hv in target}
-        for b in eb:
-            a_v, b_v = source_by_base[b], target_by_base[b]
+        for cv in dcs.family_fp[pe]:
+            a_v = vmap[cv]
+            b_v = target_by_base[walk.vertices[dcs.blowup.position_of[cv]]]
             if a_v != b_v:
                 swap[a_v] = b_v
                 swap[b_v] = a_v
-
-    def do_swap(f: Facet) -> Facet:
-        return tuple(sorted(swap.get(x, x) for x in f))
-
-    emb_facets = [do_swap(f) for f in emb_facets]
-    fam_f = {pe: do_swap(f) for pe, f in fam_f.items()}
-    fam_fp = {pe: do_swap(f) for pe, f in fam_fp.items()}
-    backbone = SimplicialComplex.from_facets(emb_facets)
-
-    entry = {e: fam_f[first_pe[e]] for e in active_base.edges}
+    emb = {cv: swap.get(hv, hv) for cv, hv in vmap.items()}
+    backbone = SimplicialComplex.from_facets([emb[x] for x in f] for f in dcs.sphere.facets)
+    entry = {
+        e: tuple(sorted(emb[x] for x in dcs.family_f[first_pe[e]])) for e in active_base.edges
+    }
 
     entry_vertices = set()
     for f in entry.values():
@@ -608,15 +594,3 @@ def _absorb_by_stellar(
     )
     boundary = SimplicialComplex.from_facets(combinations(tuple(g) + (v,), blowup.k))
     return glue(total, [(boundary, g)])
-
-
-def _facet_by_base(source: Facet, walk, vmap, dcs) -> dict[int, int]:
-    """Map base vertex -> the source facet's vertex lying in that base's part,
-    using the canonical positions of the embedded ladder sphere."""
-    inverse = {hv: cv for cv, hv in vmap.items()}
-    pos_of = dcs.blowup.position_of
-    out = {}
-    for hv in source:
-        pos = pos_of[inverse[hv]]
-        out[walk.vertices[pos]] = hv
-    return out

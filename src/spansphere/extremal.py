@@ -102,6 +102,8 @@ def find_partite_blowup(
     None.  Exhaustive backtracking, vertices placed round-robin across parts
     in ascending order; the returned witness is minimal in that order."""
     s = p.k
+    if b < 1:
+        raise BadParams(f"need part size b >= 1, got b={b}")
     if parts_constraint is not None and len(parts_constraint) != s:
         raise BadParams(f"need {s} candidate pools, got {len(parts_constraint)}")
     pools = (
@@ -190,8 +192,19 @@ def pigeonhole_blowup(
     Colours every partite transversal by its part-labelled induced graph,
     checks each colour is isomorphic to a family member, then searches the
     majority colour class for a consistent blow-up with parts of size b.
-    Returns (the labelled member, the blow-up parts) or None.
+    Returns (the labelled member, the blow-up parts) or None.  The parts
+    must be disjoint and lie in 0..n-1.
     """
+    if b < 1:
+        raise BadParams(f"need part size b >= 1, got b={b}")
+    part_of: dict[int, int] = {}
+    for i, part in enumerate(parts):
+        for v in part:
+            if not 0 <= v < h.n:
+                raise BadParams(f"vertex {v} of part {i} is outside 0..{h.n - 1}")
+            if v in part_of:
+                raise BadParams(f"vertex {v} appears in part {part_of[v]} and again in part {i}")
+            part_of[v] = i
     s = len(parts)
     total = 1
     for pp in parts:

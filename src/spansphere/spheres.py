@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .complexes import Facet, SimplicialComplex, _subdivide_with
 from .errors import BadParams
@@ -71,23 +71,23 @@ def canonical_parts(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _apply_swap(facets, swap: Mapping[int, int]):
-    return [tuple(sorted(swap.get(v, v) for v in f)) for f in facets]
-
-
-def _designated_swap(
-    parts: Sequence[Sequence[int]], tracked: Sequence[int], designated: Sequence[int]
-) -> dict[int, int]:
-    """Part-preserving transpositions sending the tracked transversal onto
-    the designated one (tracked[i] and designated[i] both in parts[i])."""
-    swap: dict[int, int] = {}
-    for part, a, b in zip(parts, tracked, designated):
-        if b not in part:
-            raise BadParams(f"designated vertex {b} not in its part {part}")
-        if a != b:
-            swap[a] = b
-            swap[b] = a
-    return swap
+def _place_designated(
+    parts: Sequence[Sequence[int]], slots: Sequence[int], designated: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The parts with designated[i] moved to index slots[i] of parts[i],
+    trading places with the vertex there; the construction's facet on those
+    slots is then the designated transversal."""
+    if len(designated) != len(parts):
+        raise BadParams(f"need {len(parts)} designated vertices, got {len(designated)}")
+    out = []
+    for part, slot, v in zip(parts, slots, designated):
+        if v not in part:
+            raise BadParams(f"designated vertex {v} not in its part {part}")
+        p = list(part)
+        i = p.index(v)
+        p[i], p[slot] = p[slot], v
+        out.append(tuple(p))
+    return tuple(out)
 
 
 def _cycle_facets(x: Sequence[int], y: Sequence[int]) -> list[Facet]:
@@ -107,9 +107,9 @@ def partite_sphere_a(
 ) -> SimplicialComplex:
     """Spanning sphere of K_k(2,..,2,l,l): a 2l-cycle suspended k-2 times.
 
-    With `designated` given (one vertex per part, in part order), the output
-    is relabelled within parts so that transversal is a facet.
-    Facet count: 2l * 2^(k-2).
+    With `designated` given (exactly one vertex per part, in part order),
+    each designated vertex is placed first in its part before any facet is
+    built, so that transversal is a facet.  Facet count: 2l * 2^(k-2).
     """
     if k < 2 or ell < 2:
         raise BadParams(f"partite sphere (a) needs k >= 2 and l >= 2, got k={k}, l={ell}")
@@ -120,15 +120,13 @@ def partite_sphere_a(
     PartiteHost(k=k, parts=parts)
     if tuple(len(p) for p in parts) != sizes:
         raise BadParams(f"part sizes {[len(p) for p in parts]} do not match {sizes}")
+    if designated is not None:
+        parts = _place_designated(parts, (0,) * k, designated)
     x, y = parts[k - 2], parts[k - 1]
     facets = []
     for cyc in _cycle_facets(x, y):
         for choice in product(*parts[: k - 2]):
-            facets.append(tuple(sorted(cyc + choice)))
-    tracked = [p[0] for p in parts[: k - 2]] + [x[0], y[0]]
-    if designated is not None:
-        swap = _designated_swap(parts, tracked, designated)
-        facets = _apply_swap(facets, swap)
+            facets.append(cyc + choice)
     return SimplicialComplex.from_facets(facets)
 
 
@@ -142,7 +140,11 @@ def partite_sphere_b(
 
     Route: bipyramid over K_3(2,l-1,l-1), subdivide a transversal facet so
     the three fresh vertices land one per special part, then suspend k-3
-    times.  Facet count: (4l+2) * 2^(k-3).
+    times.  With `designated` given (exactly one vertex per part, in part
+    order), each designated vertex is placed before any facet is built:
+    first in each 2-part and as a fresh vertex of the subdivision in the
+    last three parts, so that transversal is a facet.
+    Facet count: (4l+2) * 2^(k-3).
     """
     if k < 3 or ell < 3:
         raise BadParams(f"partite sphere (b) needs k >= 3 and l >= 3, got k={k}, l={ell}")
@@ -153,6 +155,8 @@ def partite_sphere_b(
     PartiteHost(k=k, parts=parts)
     if tuple(len(p) for p in parts) != sizes:
         raise BadParams(f"part sizes {[len(p) for p in parts]} do not match {sizes}")
+    if designated is not None:
+        parts = _place_designated(parts, (0,) * (k - 3) + (2, ell - 1, ell - 1), designated)
     p3, pl1, pl2 = parts[k - 3], parts[k - 2], parts[k - 1]
     base = partite_sphere_a(3, ell - 1, parts=(p3[:2], pl1[: ell - 1], pl2[: ell - 1]))
     u = (p3[0], pl1[0], pl2[0])
@@ -161,11 +165,7 @@ def partite_sphere_b(
     facets = []
     for f in core.facets:
         for choice in product(*parts[: k - 3]):
-            facets.append(tuple(sorted(f + choice)))
-    tracked = [p[0] for p in parts[: k - 3]] + list(v)
-    if designated is not None:
-        swap = _designated_swap(parts, tracked, designated)
-        facets = _apply_swap(facets, swap)
+            facets.append(f + choice)
     return SimplicialComplex.from_facets(facets)
 
 

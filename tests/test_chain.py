@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -199,6 +200,25 @@ class TestSpanningSphere:
             for piece in pieces:
                 one_at_a_time = glue(one_at_a_time, [piece])
             assert together == one_at_a_time
+
+    @pytest.mark.parametrize(
+        "k, s, links, seed, singleton, facets, digest",
+        [
+            (2, 4, 2, 13, False, 112, "25e68635485d2d7e"),
+            (3, 6, 2, 9, False, 772, "8901273ed5ffa278"),
+            (3, 7, 2, 12, True, 1132, "fac30dffbe0f8178"),
+            (2, 7, 2, 3, True, 254, "274cf7b22cc0a34c"),
+            (4, 8, 1, 11, False, 2972, "26df560ec157930a"),
+        ],
+    )
+    def test_output_pinned(self, k, s, links, seed, singleton, facets, digest):
+        # every chain with k >= 3 reaches the parity fix (partite sphere
+        # (b)); the singleton chains absorb by a stellar move (k = 3) and by
+        # a partite sphere with two prescribed facets (k = 2)
+        inst = generate_chain_host(k, s, links, part_size_for(k, s), seed=seed, singleton=singleton)
+        sphere = spanning_sphere(inst.host, inst.certificate)
+        assert len(sphere.facets) == facets
+        assert hashlib.sha256(repr(sphere.facets).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.slow
     def test_five_link_k4(self):

@@ -484,6 +484,23 @@ class TestExtremalCommands:
         assert code == EXIT_PASS
         assert (out / "blowup.parts").exists()
 
+    @pytest.mark.parametrize("b", ["0", "-1"])
+    def test_turan_part_size_below_one_exit_2(self, tmp_path, capsys, b):
+        g = tmp_path / "g.hg"
+        Hypergraph.from_edges(2, 8, [(i, 4 + j) for i in range(4) for j in range(4)]).save(g)
+        code = main(["extremal", "turan", "--input", str(g), "-b", b])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: need part size b >= 1, got b={b}\n"
+
+    def test_pigeonhole_part_outside_host_exit_2(self, tmp_path, capsys):
+        h = tmp_path / "h.hg"
+        Hypergraph.complete(3, 5).save(h)
+        pf = tmp_path / "parts.txt"
+        pf.write_text("0 1\n2 3\n4 5\n")
+        code = main(["extremal", "pigeonhole", "--input", str(h), "--parts", str(pf), "-b", "1"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: vertex 5 of part 2 is outside 0..4\n"
+
     def test_pigeonhole(self, tmp_path, capsys):
         from itertools import product
 

@@ -147,6 +147,11 @@ class TestFindPartiteBlowup:
         with pytest.raises(BudgetExceeded):
             find_partite_blowup(g, 4, budget=10)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_part_size_below_one(self, b):
+        with pytest.raises(BadParams, match="b >= 1"):
+            find_partite_blowup(Hypergraph.complete(2, 4), b)
+
 
 class TestPigeonhole:
     def test_single_colour(self):
@@ -182,6 +187,26 @@ class TestPigeonhole:
         member = Hypergraph.from_edges(2, 2, [(0, 1)])
         with pytest.raises(HypothesisFailed):
             pigeonhole_blowup(h, parts, [member], 1)
+
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_part_size_below_one(self, b):
+        parts = ((0, 1), (2, 3))
+        member = Hypergraph.from_edges(2, 2, [(0, 1)])
+        with pytest.raises(BadParams, match="b >= 1"):
+            pigeonhole_blowup(Hypergraph.complete(2, 4), parts, [member], b)
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            (((0, 1), (2, 4)), "vertex 4 of part 1 is outside 0..3"),
+            (((-1, 1), (2, 3)), "vertex -1 of part 0 is outside 0..3"),
+            (((0, 1), (1, 2)), "vertex 1 appears in part 0 and again in part 1"),
+        ],
+    )
+    def test_parts_disjoint_inside_host(self, parts, message):
+        member = Hypergraph.from_edges(2, 2, [(0, 1)])
+        with pytest.raises(BadParams, match=message):
+            pigeonhole_blowup(Hypergraph.complete(2, 4), parts, [member], 1)
 
     def test_consistency(self):
         parts = ((0, 1, 2, 3), (4, 5, 6, 7))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -25,6 +26,17 @@ def spans_host(sphere, parts) -> bool:
     return sphere.vertex_set == host.vertex_set and all(
         host.has_edge(f) for f in sphere.facets
     )
+
+
+def designated_pin(build, k, ells, sizes):
+    """Digest of the facets built for l in `ells`, each through a
+    transversal of the canonical parts drawn with seed 100k + l."""
+    out = []
+    for ell in ells:
+        rng = random.Random(100 * k + ell)
+        designated = tuple(rng.choice(p) for p in canonical_parts(sizes(ell)))
+        out.append(build(k, ell, designated=designated).facets)
+    return hashlib.sha256(repr(out).encode()).hexdigest()[:16]
 
 
 class TestPartiteA:
@@ -65,6 +77,26 @@ class TestPartiteA:
         with pytest.raises(BadParams):
             partite_sphere_a(1, 3)
 
+    @pytest.mark.parametrize("designated", [(1,), (1, 3), (1, 3, 7, 8)])
+    def test_designated_needs_one_vertex_per_part(self, designated):
+        with pytest.raises(BadParams, match="designated"):
+            partite_sphere_a(3, 3, designated=designated)
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (2, "df0ae8c46c97cb79"),
+            (3, "887edd0e561ed5df"),
+            (4, "98ffc094ce9e62a6"),
+            (5, "b1f8adbd5f38ebc3"),
+            (6, "589597e662eb8853"),
+        ],
+    )
+    def test_output_pinned(self, k, digest):
+        # the facets through seeded designated transversals, l = 2..6
+        sizes = lambda ell: (2,) * (k - 2) + (ell, ell)
+        assert designated_pin(partite_sphere_a, k, range(2, 7), sizes) == digest
+
 
 class TestPartiteB:
     def test_k3_l3(self):
@@ -104,6 +136,25 @@ class TestPartiteB:
             partite_sphere_b(3, 2)
         with pytest.raises(BadParams):
             partite_sphere_b(2, 3)
+
+    @pytest.mark.parametrize("designated", [(0, 4, 8), (0, 4, 8, 9, 10)])
+    def test_designated_needs_one_vertex_per_part(self, designated):
+        with pytest.raises(BadParams, match="designated"):
+            partite_sphere_b(4, 4, designated=designated)
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (3, "d43136127e0b6bc2"),
+            (4, "e7e398ea8cca3ecf"),
+            (5, "5243a240a4590e9a"),
+            (6, "8b612c0dadbbf7a5"),
+        ],
+    )
+    def test_output_pinned(self, k, digest):
+        # the facets through seeded designated transversals, l = 3..6
+        sizes = lambda ell: (2,) * (k - 3) + (3, ell, ell)
+        assert designated_pin(partite_sphere_b, k, range(3, 7), sizes) == digest
 
 
 class TestThinPath:
